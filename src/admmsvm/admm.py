@@ -4,10 +4,13 @@ The reference path iterates the textbook update (solve the regularized
 normal-equation system, then soft-threshold the hinge auxiliary, then the
 multiplier step), reusing a pre-computed inverse of the fixed system
 matrix. The efficient path restates the same iteration around the
-pre-computed matrix Z = Y X_tilde Q D^(-1/2), a scaled auxiliary a_hat and
-the shared intermediate theta, so each pass is two thin matrix-vector
-products plus element-wise work. Both paths produce identical multiplier
-iterates; their auxiliaries are related by a_hat = rho * a.
+pre-computed matrix Z = Y X_tilde Q D^(-1/2), where Q D Q^T is the
+symmetric eigendecomposition of the system matrix, a scaled auxiliary
+a_hat and the shared intermediate theta, so each pass is two thin
+matrix-vector products plus element-wise work. Both paths produce
+identical multiplier iterates; their auxiliaries are related by
+a_hat = rho * a. One shared loop runs either path and applies the one
+stop test both share.
 """
 
 import time
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import SymmetricMatrix, jacobi_evd, truncate_spectrum
+from .eigen import SymmetricMatrix, symmetric_evd, truncate_spectrum
 from .errors import (
     NonFiniteError,
     RankDeficientError,
@@ -81,13 +84,11 @@ class AugmentedDesign:
 
 @dataclass(frozen=True, eq=False)
 class AdmmState:
-    """Per-iteration solver variables (scaled auxiliary, multiplier, S, theta, B)."""
+    """Per-iteration solver variables (scaled auxiliary, multiplier, S = Z^T B)."""
 
     a_hat: np.ndarray
     u: np.ndarray
     s: np.ndarray | None = None
-    theta: np.ndarray | None = None
-    b_vec: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -201,9 +202,13 @@ def admm_step(z, state, rho):
     theta = rho + state.u - rho * (z @ s)
     a_hat = soft_threshold(theta, 1.0)
     u = theta - a_hat
+    _check_diverged(u)
+    return AdmmState(a_hat=a_hat, u=u, s=s)
+
+
+def _check_diverged(u):
     if not np.all(np.isfinite(u)) or np.abs(u).max() > DIVERGENCE_LIMIT:
         raise NonFiniteError("ADMM iterates diverged; check lambda and rho")
-    return AdmmState(a_hat=a_hat, u=u, s=s, theta=theta, b_vec=b_vec)
 
 
 def primal_objective(X, y, beta, beta0, lambda_):
@@ -222,99 +227,39 @@ def _check_two_classes(y):
 def solve_linear(design, cfg, accuracy_fn=None):
     """Train a linear SVM with the configured ADMM path.
 
-    ``accuracy_fn(beta, beta0)``, when given, is evaluated once per
+    Both paths stop on the same test: the squared change of
+    beta_tilde = (beta, beta0) between consecutive iterations is at most
+    epsilon. ``accuracy_fn(beta, beta0)``, when given, is evaluated once per
     iteration (outside the timed solver work) and recorded in the trace.
     Returns the model flagged ``converged=False`` when the iteration cap
-    is reached before the path's residual drops below epsilon.
+    is reached before the stop test passes.
     """
     if design.n < 2:
         raise ValueError("need at least two training samples")
     _check_two_classes(design.y)
-    if cfg.path == PATH_EFFICIENT:
-        return _solve_efficient(design, cfg, accuracy_fn)
-    return _solve_reference(design, cfg, accuracy_fn)
-
-
-def _solve_efficient(design, cfg, accuracy_fn):
     setup_start = time.perf_counter()
-    a = build_system_matrix(design, cfg.lambda_, cfg.rho)
-    evd = jacobi_evd(a)
-    trunc = truncate_spectrum(evd, r=a.n, eig_tol=0.0)
-    z = precompute_z(design, evd, trunc)
-    recover = evd.q[:, : trunc.rank_kept] * trunc.inv_sqrt[None, :]
+    stepper = _efficient_stepper if cfg.path == PATH_EFFICIENT else _reference_stepper
+    step = stepper(design, cfg)
     setup_ms = (time.perf_counter() - setup_start) * 1e3
 
-    state = initialize_state(design.n)
     trace = ConvergenceTrace()
-    beta_tilde_prev = np.zeros(a.n)
+    u_prev = np.zeros(design.n)
+    beta_tilde_prev = np.zeros(design.p + 1)
     converged = False
-    iterations = 0
     for k in range(1, cfg.max_iters + 1):
         tic = time.perf_counter()
-        new_state = admm_step(z, state, cfg.rho)
-        u_res = float(np.linalg.norm(new_state.u - state.u))
-        beta_tilde = recover @ new_state.s
-        beta_res = float(np.sum((beta_tilde - beta_tilde_prev) ** 2))
+        u, beta_tilde = step()
+        u_res = float(np.linalg.norm(u - u_prev))
+        beta_res, converged = _beta_stop_test(beta_tilde, beta_tilde_prev, cfg.epsilon)
         elapsed_ms = (time.perf_counter() - tic) * 1e3
         if k == 1:
             elapsed_ms += setup_ms
 
         acc = accuracy_fn(beta_tilde[:-1], beta_tilde[-1]) if accuracy_fn else None
         trace.append(TraceRow(k, u_res, beta_res, acc, elapsed_ms))
-        state = new_state
+        u_prev = u
         beta_tilde_prev = beta_tilde
-        iterations = k
-        if u_res <= cfg.epsilon:
-            converged = True
-            break
-
-    return LinearModel(
-        beta=beta_tilde_prev[:-1],
-        beta0=float(beta_tilde_prev[-1]),
-        trace=trace,
-        converged=converged,
-        iterations=iterations,
-    )
-
-
-def _solve_reference(design, cfg, accuracy_fn):
-    setup_start = time.perf_counter()
-    a = build_system_matrix(design, cfg.lambda_, cfg.rho)
-    a_inv = np.linalg.inv(a.entries)
-    xt = design.x_tilde
-    y = design.y
-    setup_ms = (time.perf_counter() - setup_start) * 1e3
-
-    n = design.n
-    aux = np.zeros(n)
-    u = np.zeros(n)
-    beta_tilde = np.zeros(a.n)
-    trace = ConvergenceTrace()
-    converged = False
-    iterations = 0
-    inv_rho = 1.0 / cfg.rho
-    for k in range(1, cfg.max_iters + 1):
-        tic = time.perf_counter()
-        rhs = xt.T @ (y * (u - cfg.rho * (aux - 1.0)))
-        beta_new = a_inv @ rhs
-        margin = y * (xt @ beta_new)
-        aux = soft_threshold(1.0 + u * inv_rho - margin, inv_rho)
-        u_new = u + cfg.rho * (1.0 - margin - aux)
-        if not np.all(np.isfinite(u_new)) or np.abs(u_new).max() > DIVERGENCE_LIMIT:
-            raise NonFiniteError("ADMM iterates diverged; check lambda and rho")
-        u_res = float(np.linalg.norm(u_new - u))
-        beta_res = float(np.sum((beta_new - beta_tilde) ** 2))
-        elapsed_ms = (time.perf_counter() - tic) * 1e3
-        if k == 1:
-            elapsed_ms += setup_ms
-
-        acc = accuracy_fn(beta_new[:-1], beta_new[-1]) if accuracy_fn else None
-        trace.append(TraceRow(k, u_res, beta_res, acc, elapsed_ms))
-        u = u_new
-        beta_tilde = beta_new
-        iterations = k
-        if beta_res <= cfg.epsilon:
-            converged = True
+        if converged:
             break
 
     return LinearModel(
@@ -322,5 +267,51 @@ def _solve_reference(design, cfg, accuracy_fn):
         beta0=float(beta_tilde[-1]),
         trace=trace,
         converged=converged,
-        iterations=iterations,
+        iterations=k,
     )
+
+
+def _beta_stop_test(beta_tilde, beta_tilde_prev, epsilon):
+    """Squared step ||beta_tilde - beta_tilde_prev||_2^2 and whether it is <= epsilon."""
+    residual = float(np.sum((beta_tilde - beta_tilde_prev) ** 2))
+    return residual, residual <= epsilon
+
+
+def _efficient_stepper(design, cfg):
+    """Set up the efficient path; the returned step yields (u, beta_tilde)."""
+    a = build_system_matrix(design, cfg.lambda_, cfg.rho)
+    evd = symmetric_evd(a)
+    trunc = truncate_spectrum(evd, r=a.n, eig_tol=0.0)
+    z = precompute_z(design, evd, trunc)
+    recover = evd.q[:, : trunc.rank_kept] * trunc.inv_sqrt[None, :]
+    state = initialize_state(design.n)
+
+    def step():
+        nonlocal state
+        state = admm_step(z, state, cfg.rho)
+        return state.u, recover @ state.s
+
+    return step
+
+
+def _reference_stepper(design, cfg):
+    """Set up the reference path; the returned step yields (u, beta_tilde)."""
+    a = build_system_matrix(design, cfg.lambda_, cfg.rho)
+    a_inv = np.linalg.inv(a.entries)
+    xt = design.x_tilde
+    y = design.y
+    rho = cfg.rho
+    inv_rho = 1.0 / rho
+    aux = np.zeros(design.n)
+    u = np.zeros(design.n)
+
+    def step():
+        nonlocal aux, u
+        beta_tilde = a_inv @ (xt.T @ (y * (u - rho * (aux - 1.0))))
+        margin = y * (xt @ beta_tilde)
+        aux = soft_threshold(1.0 + u * inv_rho - margin, inv_rho)
+        u = u + rho * (1.0 - margin - aux)
+        _check_diverged(u)
+        return u, beta_tilde
+
+    return step

@@ -48,7 +48,9 @@ from .nystrom import NystromConfig, approximation_mse, nystrom_factor
 from .smo import SmoConfig, smo_train
 from .svm import (
     NonlinearModel,
+    accuracy,
     decision_values,
+    in_sample_accuracy,
     save_model,
     load_model,
     train_nonlinear,
@@ -163,8 +165,7 @@ def cmd_train(args):
         iterations = result.passes
         effective_rank = None
         nystrom_mse = None
-        pred = np.where(decision_values(model, ds.x) >= 0.0, 1.0, -1.0)
-        train_accuracy = float(np.mean(pred == ds.y))
+        train_accuracy = accuracy(decision_values(model, ds.x), ds.y)
     else:
         nys = NystromConfig(c=c, r=r, seed=args.seed)
         admm_cfg = AdmmConfig(
@@ -194,8 +195,7 @@ def cmd_train(args):
 
     test_accuracy = None
     if test is not None:
-        pred = np.where(decision_values(model, test.x) >= 0.0, 1.0, -1.0)
-        test_accuracy = float(np.mean(pred == test.y))
+        test_accuracy = accuracy(decision_values(model, test.x), test.y)
 
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -258,8 +258,7 @@ def cmd_predict(args):
         for lab, val in zip(pred, values):
             writer.writerow([int(lab), repr(float(val))])
     if labels is not None:
-        accuracy = float(np.mean(pred == labels))
-        print(f"accuracy={accuracy:.4f}")
+        print(f"accuracy={accuracy(values, labels):.4f}")
     return EXIT_OK
 
 
@@ -300,15 +299,11 @@ def _bench_cell_admm(ds, params, args, path):
     design = AugmentedDesign.from_features(ds.y[:, None] * factor.v, ds.y)
     setup_ms = (time.perf_counter() - tic) * 1e3
 
-    def accuracy_fn(eta, bias):
-        pred = np.where(factor.v @ eta + bias >= 0.0, 1.0, -1.0)
-        return float(np.mean(pred == ds.y))
-
     cfg = AdmmConfig(
         lambda_=args.lambda_, rho=args.rho, epsilon=args.epsilon,
         max_iters=args.max_iters, path=path,
     )
-    model = solve_linear(design, cfg, accuracy_fn=accuracy_fn)
+    model = solve_linear(design, cfg, accuracy_fn=in_sample_accuracy(factor.v, ds.y))
     reach_ms = model.trace.time_to_accuracy_ms(args.target_accuracy)
     time_ms = setup_ms + reach_ms if reach_ms is not None else None
     iters = _iterations_to_target(model.trace, args.target_accuracy)

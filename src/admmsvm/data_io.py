@@ -72,9 +72,6 @@ class ScalingRecord:
     def apply(self, x):
         return (np.asarray(x, dtype=float) - self.offset) / self.scale
 
-    def invert(self, x):
-        return np.asarray(x, dtype=float) * self.scale + self.offset
-
     def to_dict(self):
         return {"mode": self.mode, "offset": self.offset.tolist(), "scale": self.scale.tolist()}
 
@@ -191,16 +188,6 @@ def _feature_cells_numeric(cells, label_idx):
     return True
 
 
-def save_delimited(ds, path, delimiter=","):
-    """Write features plus a trailing label column; inverse of load_delimited."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if ds.feature_names is not None:
-            fh.write(delimiter.join([*ds.feature_names, "label"]) + "\n")
-        for i in range(ds.n):
-            cells = [repr(v) for v in ds.x[i]] + [repr(ds.y[i])]
-            fh.write(delimiter.join(cells) + "\n")
-
-
 def load_sparse_text(path):
     """Parse "<label> <idx>:<val> ..." lines with 1-based ascending indices."""
     raw_labels = []
@@ -254,7 +241,7 @@ def scale_features(ds, mode):
     """Apply a per-feature affine transform; constant features map to 0.
 
     Returns the transformed dataset and the record needed to apply the same
-    transform at inference time (or invert it).
+    transform at inference time.
     """
     if mode == SCALE_NONE:
         record = ScalingRecord(mode, np.zeros(ds.p), np.ones(ds.p))

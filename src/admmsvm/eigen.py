@@ -1,19 +1,16 @@
-"""Symmetric eigendecomposition via the cyclic Jacobi method.
+"""Symmetric eigendecomposition (LAPACK via numpy) and spectral truncation.
 
 One shared code path serves both consumers of eigendecompositions in this
 package: the subset-kernel factorization in :mod:`admmsvm.nystrom` and the
 inversion of the linear-solver system matrix in :mod:`admmsvm.admm`.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, RankDeficientError
+from .errors import NoConvergenceError, NonFiniteError, RankDeficientError
 
-DEFAULT_OFF_DIAG_TOL = 1e-12
-DEFAULT_MAX_SWEEPS = 30
 DEFAULT_EIG_TOL = 1e-10
 
 
@@ -55,8 +52,6 @@ class EvdResult:
 
     q: np.ndarray
     d: np.ndarray
-    sweeps_used: int
-    converged: bool
 
     @property
     def n(self):
@@ -72,91 +67,33 @@ class SpectralTruncation:
     inv: np.ndarray
 
 
-def jacobi_evd(a, off_diag_tol=DEFAULT_OFF_DIAG_TOL, max_sweeps=DEFAULT_MAX_SWEEPS):
-    """Diagonalize a symmetric matrix with cyclic-by-rows Givens rotations.
+def symmetric_evd(a):
+    """Diagonalize a symmetric matrix with LAPACK (``np.linalg.eigh``).
 
-    Sweeps all (p, q) pairs in row order, zeroing one off-diagonal entry per
-    rotation, until the off-diagonal Frobenius norm drops below
-    ``off_diag_tol`` times the Frobenius norm of the input or ``max_sweeps``
-    is exhausted. Returns a best-effort result flagged ``converged=False``
-    in the latter case.
-
-    Eigenpairs are sorted by descending eigenvalue (ties keep their original
-    order) and each eigenvector's sign is fixed so its largest-magnitude
-    entry is non-negative, making the output reproducible.
+    Eigenpairs are sorted by descending eigenvalue (ties keep their
+    ``eigh`` order) and each eigenvector's sign is fixed so its
+    largest-magnitude entry is non-negative, making the output reproducible.
+    Raises :class:`~admmsvm.errors.NoConvergenceError` when LAPACK fails.
     """
     if not isinstance(a, SymmetricMatrix):
         a = SymmetricMatrix.from_array(a)
-    if off_diag_tol <= 0:
-        raise ValueError("off_diag_tol must be positive")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
+    try:
+        d, q = np.linalg.eigh(a.entries)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"symmetric eigendecomposition did not converge: {exc}") from exc
 
-    n = a.n
-    work = a.entries.copy()
-    vecs = np.eye(n)
-
-    fro = float(np.linalg.norm(work))
-    target = off_diag_tol * max(fro, np.finfo(float).tiny)
-    # rotations on entries below this cannot keep the off-diagonal norm above
-    # target, so skipping them is safe and saves late-sweep work
-    skip = target / max(4.0 * n, 4.0)
-
-    sweeps = 0
-    converged = _off_diag_norm(work) <= target
-    while not converged and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= skip:
-                    continue
-                _rotate(work, vecs, p, q, apq)
-        sweeps += 1
-        converged = _off_diag_norm(work) <= target
-
-    d = np.diag(work).copy()
     order = np.argsort(-d, kind="stable")
     d = d[order]
-    q = vecs[:, order]
+    q = q[:, order]
 
     # sign convention: largest-magnitude entry of each column non-negative
     anchor = np.argmax(np.abs(q), axis=0)
-    flip = q[anchor, np.arange(n)] < 0
+    flip = q[anchor, np.arange(a.n)] < 0
     q[:, flip] = -q[:, flip]
 
     d.flags.writeable = False
     q.flags.writeable = False
-    return EvdResult(q=q, d=d, sweeps_used=sweeps, converged=bool(converged))
-
-
-def _off_diag_norm(m):
-    off = m.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def _rotate(m, vecs, p, q, apq):
-    # stable two-sided Givens rotation zeroing m[p, q]
-    phi = 0.5 * math.atan2(2.0 * apq, m[q, q] - m[p, p])
-    c = math.cos(phi)
-    s = math.sin(phi)
-
-    rp = m[p, :].copy()
-    rq = m[q, :]
-    m[p, :] = c * rp - s * rq
-    m[q, :] = s * rp + c * rq
-
-    cp = m[:, p].copy()
-    cq = m[:, q]
-    m[:, p] = c * cp - s * cq
-    m[:, q] = s * cp + c * cq
-    m[p, q] = 0.0
-    m[q, p] = 0.0
-
-    vp = vecs[:, p].copy()
-    vq = vecs[:, q]
-    vecs[:, p] = c * vp - s * vq
-    vecs[:, q] = s * vp + c * vq
+    return EvdResult(q=q, d=d)
 
 
 def truncate_spectrum(evd, r, eig_tol=DEFAULT_EIG_TOL):

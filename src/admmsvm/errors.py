@@ -33,10 +33,6 @@ class InvalidCountError(AdmmSvmError):
     """A requested count violates its bounds (e.g. c > n or c = 0)."""
 
 
-class NotConvergedError(AdmmSvmError):
-    """A solver hit its iteration cap before reaching tolerance."""
-
-
 class SingleClassError(AdmmSvmError):
     """Training data contains only one label value."""
 

@@ -2,7 +2,9 @@
 
 Produces a factor V with Psi ~= V V^T from c sampled columns and a rank-r
 spectral truncation of the sampled block, keeping the spectral pieces
-(Q_r, d_r) needed later to recover sparse dual weights.
+(Q_r, d_r) needed later to recover sparse dual weights. The sampled block
+is diagonalized by :func:`admmsvm.eigen.symmetric_evd`, so a LAPACK failure
+surfaces as :class:`~admmsvm.errors.NoConvergenceError`.
 """
 
 import warnings
@@ -10,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import DEFAULT_EIG_TOL, SymmetricMatrix, jacobi_evd, truncate_spectrum
-from .errors import DimensionMismatchError, InvalidCountError, NoConvergenceError
+from .eigen import DEFAULT_EIG_TOL, SymmetricMatrix, symmetric_evd, truncate_spectrum
+from .errors import DimensionMismatchError, InvalidCountError
 from .kernel import kernel_columns
 
 
@@ -77,9 +79,7 @@ def nystrom_factor(X, y, params, cfg, subset=None):
 
     psi_cols = kernel_columns(x, y, params, m)
     psi_mm = SymmetricMatrix.from_array(psi_cols[m, :])
-    evd = jacobi_evd(psi_mm)
-    if not evd.converged:
-        raise NoConvergenceError("eigendecomposition of the sampled kernel block did not converge")
+    evd = symmetric_evd(psi_mm)
     trunc = truncate_spectrum(evd, cfg.r, cfg.eig_tol)
     if trunc.rank_kept < cfg.r:
         warnings.warn(

@@ -71,12 +71,7 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
     factor = nystrom_factor(x, y, kernel, nys, subset=subset)
     design = AugmentedDesign.from_features(y[:, None] * factor.v, y)
 
-    accuracy_fn = None
-    if track_accuracy:
-        def accuracy_fn(eta, bias):
-            pred = np.where(factor.v @ eta + bias >= 0.0, 1.0, -1.0)
-            return float(np.mean(pred == y))
-
+    accuracy_fn = in_sample_accuracy(factor.v, y) if track_accuracy else None
     linear = solve_linear(design, admm, accuracy_fn=accuracy_fn)
 
     alpha_subset = factor.q_r @ (linear.beta / np.sqrt(factor.d_r))
@@ -92,7 +87,7 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
         kernel=kernel,
     )
 
-    train_accuracy = _batch_accuracy(model, x, y)
+    train_accuracy = accuracy(decision_values(model, x), y)
     mse = None
     if compute_mse:
         mse = approximation_mse(build_kernel_matrix(x, y, kernel), factor)
@@ -104,6 +99,24 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
         effective_rank=factor.effective_rank,
         nystrom_mse=mse,
     )
+
+
+def in_sample_accuracy(v, y):
+    """Training accuracy of a linear iterate (eta, bias) solved on the design Y V.
+
+    Row i of the design is y_i v_i, and Psi[:, M] alpha_M = V eta, so the
+    decision value at training sample i is y_i (V eta)_i + bias. Returns
+    ``accuracy_fn(eta, bias)`` for :func:`admmsvm.admm.solve_linear`.
+    """
+    def accuracy_fn(eta, bias):
+        return accuracy(y * (v @ eta) + bias, y)
+
+    return accuracy_fn
+
+
+def accuracy(values, y):
+    """Fraction of labels matched by the sign of the decision values; ties go to +1."""
+    return float(np.mean(np.where(values >= 0.0, 1.0, -1.0) == y))
 
 
 def decision_value(model, x):
@@ -147,11 +160,6 @@ def predict_linear(model, x):
             f"query vector shape {x.shape} does not match weights shape {model.beta.shape}"
         )
     return 1 if float(x @ model.beta + model.beta0) >= 0.0 else -1
-
-
-def _batch_accuracy(model, x, y):
-    pred = np.where(decision_values(model, x) >= 0.0, 1.0, -1.0)
-    return float(np.mean(pred == y))
 
 
 def kernel_objective(X, y, kernel, alpha, b, lambda_):

@@ -1,0 +1,36 @@
+"""Command-line runs end to end, on data the tests write themselves."""
+
+import csv
+import json
+
+import numpy as np
+
+from admmsvm import cli
+from admmsvm.synthetic import mnist_like
+
+
+def test_bench_convergence_cells_reach_target(tmp_path):
+    out = tmp_path / "bench.csv"
+    code = cli.main(["bench-convergence", "--sizes", "512",
+                     "--solvers", "efficient,reference,smo", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["solver"] for row in rows] == ["efficient", "reference", "smo"]
+    for row in rows:
+        assert row["reached_target"] == "True"
+        assert float(row["final_accuracy"]) >= 0.95
+
+
+def test_train_with_default_flags_converges(tmp_path, monkeypatch):
+    ds = mnist_like(2048)
+    np.savetxt(tmp_path / "data.csv", np.column_stack([ds.x, ds.y]), delimiter=",",
+               fmt="%.17g")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--data", "data.csv"]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["converged"] is True
+    assert report["iterations"] < report["params"]["max_iters"]
+    with open(tmp_path / "trace.csv", newline="", encoding="utf-8") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert float(last["train_accuracy"]) == report["train_accuracy"]

@@ -1,10 +1,13 @@
-"""Cyclic Jacobi eigendecomposition and spectral truncation."""
+"""Symmetric eigendecomposition and spectral truncation."""
 
 import numpy as np
 import pytest
 
-from admmsvm.eigen import SymmetricMatrix, jacobi_evd, truncate_spectrum
-from admmsvm.errors import NonFiniteError, RankDeficientError
+from admmsvm.eigen import SymmetricMatrix, symmetric_evd, truncate_spectrum
+from admmsvm.errors import NoConvergenceError, NonFiniteError, RankDeficientError
+from admmsvm.kernel import KernelParams
+from admmsvm.nystrom import NystromConfig, nystrom_factor
+from admmsvm.synthetic import mnist_like
 
 
 def random_symmetric(n, seed):
@@ -14,16 +17,14 @@ def random_symmetric(n, seed):
 
 
 def test_identity_is_already_diagonal():
-    res = jacobi_evd(np.eye(3))
+    res = symmetric_evd(np.eye(3))
     np.testing.assert_array_equal(res.d, np.ones(3))
     # eigenvectors may be any permutation of identity columns
     assert np.allclose(np.abs(res.q) @ np.ones(3), np.ones(3))
-    assert res.sweeps_used == 0
-    assert res.converged
 
 
 def test_two_by_two_known_eigenpairs():
-    res = jacobi_evd(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    res = symmetric_evd(np.array([[2.0, 1.0], [1.0, 2.0]]))
     np.testing.assert_allclose(res.d, [3.0, 1.0], atol=1e-12)
     ones = np.array([1.0, 1.0]) / np.sqrt(2.0)
     alt = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -37,15 +38,14 @@ def test_recovers_synthesized_spectrum():
     q0, _ = np.linalg.qr(rng.standard_normal((16, 16)))
     d0 = np.sort(rng.uniform(0.5, 9.0, size=16))[::-1]
     a = q0 @ np.diag(d0) @ q0.T
-    res = jacobi_evd(a)
+    res = symmetric_evd(a)
     np.testing.assert_allclose(res.d, d0, atol=1e-8)
 
 
 @pytest.mark.parametrize("n", [2, 5, 16, 33, 64])
 def test_reconstruction_orthogonality_trace(n):
     a = random_symmetric(n, seed=n)
-    res = jacobi_evd(a)
-    assert res.converged
+    res = symmetric_evd(a)
     fro = np.linalg.norm(a)
     assert np.linalg.norm(a - res.q @ np.diag(res.d) @ res.q.T) <= 1e-8 * fro
     assert np.abs(res.q.T @ res.q - np.eye(n)).max() <= 1e-9
@@ -56,12 +56,12 @@ def test_spd_eigenvalues_nonnegative():
     rng = np.random.default_rng(3)
     b = rng.standard_normal((12, 12))
     a = b @ b.T
-    res = jacobi_evd(a)
+    res = symmetric_evd(a)
     assert res.d.min() >= -1e-10 * np.linalg.norm(a)
 
 
 def test_eigenvalues_sorted_descending_and_sign_fixed():
-    res = jacobi_evd(random_symmetric(10, seed=1))
+    res = symmetric_evd(random_symmetric(10, seed=1))
     assert np.all(np.diff(res.d) <= 1e-15)
     anchors = np.argmax(np.abs(res.q), axis=0)
     assert np.all(res.q[anchors, np.arange(10)] >= 0)
@@ -69,8 +69,8 @@ def test_eigenvalues_sorted_descending_and_sign_fixed():
 
 def test_deterministic_across_runs():
     a = random_symmetric(14, seed=5)
-    r1 = jacobi_evd(a)
-    r2 = jacobi_evd(a)
+    r1 = symmetric_evd(a)
+    r2 = symmetric_evd(a)
     np.testing.assert_array_equal(r1.d, r2.d)
     np.testing.assert_array_equal(r1.q, r2.q)
 
@@ -79,7 +79,7 @@ def test_non_finite_input_rejected():
     a = np.eye(3)
     a[1, 1] = np.nan
     with pytest.raises(NonFiniteError):
-        jacobi_evd(a)
+        symmetric_evd(a)
 
 
 def test_asymmetric_input_rejected():
@@ -87,18 +87,26 @@ def test_asymmetric_input_rejected():
         SymmetricMatrix.from_array(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_sweep_budget_flags_nonconvergence():
-    a = random_symmetric(24, seed=9)
-    res = jacobi_evd(a, off_diag_tol=1e-15, max_sweeps=1)
-    assert not res.converged
-    assert res.sweeps_used == 1
-    # best-effort output still has the right shape and finite values
-    assert np.all(np.isfinite(res.d)) and np.all(np.isfinite(res.q))
+def test_lapack_failure_raises_typed_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergenceError):
+        symmetric_evd(random_symmetric(4, seed=2))
+    ds = mnist_like(16)
+    with pytest.raises(NoConvergenceError):
+        nystrom_factor(ds.x, ds.y, KernelParams(gamma=-1.0), NystromConfig(c=4, r=4))
+
+
+def test_outputs_read_only():
+    res = symmetric_evd(random_symmetric(5, seed=4))
+    assert not res.q.flags.writeable and not res.d.flags.writeable
 
 
 class TestTruncateSpectrum:
     def _evd(self, d):
-        return jacobi_evd(np.diag(np.sort(np.asarray(d, dtype=float))[::-1]))
+        return symmetric_evd(np.diag(np.sort(np.asarray(d, dtype=float))[::-1]))
 
     def test_two_of_three_kept(self):
         trunc = truncate_spectrum(self._evd([4.0, 1.0, 0.0]), r=2, eig_tol=1e-12)
@@ -117,7 +125,7 @@ class TestTruncateSpectrum:
     def test_full_rank_keeps_everything(self):
         rng = np.random.default_rng(11)
         b = rng.standard_normal((8, 8))
-        evd = jacobi_evd(b @ b.T + 0.5 * np.eye(8))
+        evd = symmetric_evd(b @ b.T + 0.5 * np.eye(8))
         trunc = truncate_spectrum(evd, r=8, eig_tol=0.0)
         assert trunc.rank_kept == 8
 
