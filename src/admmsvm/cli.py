@@ -155,9 +155,7 @@ def cmd_train(args):
 
     wall_start = time.perf_counter()
     if args.path == "smo":
-        cfg = SmoConfig(
-            c_box=args.c_box, kkt_tol=args.kkt_tol, max_passes=args.max_passes, seed=args.seed
-        )
+        cfg = SmoConfig(c_box=args.c_box, kkt_tol=args.kkt_tol, max_passes=args.max_passes)
         result = smo_train(ds.x, ds.y, params, cfg)
         model = _model_from_smo(result, ds, params)
         trace = result.trace
@@ -312,9 +310,7 @@ def _bench_cell_admm(ds, params, args, path):
 
 
 def _bench_cell_smo(ds, params, args):
-    cfg = SmoConfig(
-        c_box=args.c_box, kkt_tol=args.kkt_tol, max_passes=args.max_passes, seed=args.seed
-    )
+    cfg = SmoConfig(c_box=args.c_box, kkt_tol=args.kkt_tol, max_passes=args.max_passes)
     result = smo_train(ds.x, ds.y, params, cfg, accuracy_target=args.target_accuracy)
     time_ms = result.trace.time_to_accuracy_ms(args.target_accuracy)
     iters = _iterations_to_target(result.trace, args.target_accuracy)
@@ -388,8 +384,10 @@ def _add_solver_flags(parser):
     parser.add_argument("--epsilon", type=float, default=1e-6)
     parser.add_argument("--max-iters", type=int, default=500)
     parser.add_argument("--c-box", type=float, default=10.0, help="SMO box constraint")
-    parser.add_argument("--kkt-tol", type=float, default=1e-3)
-    parser.add_argument("--max-passes", type=int, default=200)
+    parser.add_argument("--kkt-tol", type=float, default=1e-3,
+                        help="SMO stops when the maximal violating pair's gap falls below this")
+    parser.add_argument("--max-passes", type=int, default=200,
+                        help="SMO pass cap; a pass is at most N pair updates")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--allow-nonconverged", action="store_true")
 

@@ -1,11 +1,9 @@
 """Dataset ingestion, label normalization, feature scaling and splitting.
 
-Supports delimited text, the sparse "label idx:val" text format with
-1-based ascending indices, and raw IDX image/label files (big-endian dims,
-unsigned bytes) as a utility for exporting MNIST-style data.
+Supports delimited text and the sparse "label idx:val" text format with
+1-based ascending indices.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +153,9 @@ def load_delimited(path, label_column, delimiter=",", header="auto"):
         features.append(row)
         raw_labels.append(cells[label_idx].strip())
 
+    x = _finite_rows(path, features, rows)
     y = _normalize_labels(raw_labels)
-    return Dataset(x=np.array(features, dtype=float), y=y, feature_names=feature_names)
+    return Dataset(x=x, y=y, feature_names=feature_names)
 
 
 def load_delimited_features(path, delimiter=","):
@@ -166,15 +165,27 @@ def load_delimited_features(path, delimiter=","):
     rows = [(i + 1, ln.split(delimiter)) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise ParseError(f"{path}: no data rows")
+    width = len(rows[0][1])
     if not _feature_cells_numeric(rows[0][1], label_idx=None):
         rows = rows[1:]
     features = []
     for lineno, cells in rows:
+        if len(cells) != width:
+            raise ParseError(f"{path}: inconsistent column count", line=lineno)
         try:
             features.append([float(c) for c in cells])
         except ValueError:
             raise ParseError(f"{path}: non-numeric value", line=lineno) from None
-    return np.array(features, dtype=float)
+    return _finite_rows(path, features, rows)
+
+
+def _finite_rows(path, features, rows):
+    """Stack parsed rows; a NaN or Inf cell is a parse error naming its line."""
+    x = np.array(features, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.shape[0]:
+        raise ParseError(f"{path}: non-finite feature value", line=rows[bad[0]][0])
+    return x
 
 
 def _feature_cells_numeric(cells, label_idx):
@@ -211,6 +222,8 @@ def load_sparse_text(path):
                     val = float(val_s)
                 except ValueError:
                     raise ParseError(f"{path}: bad idx:val pair {tok!r}", line=lineno) from None
+                if not np.isfinite(val):
+                    raise ParseError(f"{path}: non-finite value {tok!r}", line=lineno)
                 if idx < 1:
                     raise ParseError(f"{path}: indices are 1-based, got {idx}", line=lineno)
                 if idx <= prev:
@@ -313,59 +326,3 @@ def split(ds, spec):
     train = Dataset(x=ds.x[train_idx], y=ds.y[train_idx], feature_names=ds.feature_names)
     test = Dataset(x=ds.x[test_idx], y=ds.y[test_idx], feature_names=ds.feature_names)
     return train, test
-
-
-_IDX_DTYPES = {
-    0x08: np.uint8,
-    0x09: np.int8,
-    0x0B: np.dtype(">i2"),
-    0x0C: np.dtype(">i4"),
-    0x0D: np.dtype(">f4"),
-    0x0E: np.dtype(">f8"),
-}
-
-
-def read_idx(path):
-    """Decode a raw IDX file (2 zero bytes, dtype code, ndim, big-endian dims)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4:
-        raise ParseError(f"{path}: truncated IDX header")
-    zero0, zero1, dtype_code, ndim = struct.unpack_from(">BBBB", blob)
-    if zero0 != 0 or zero1 != 0 or dtype_code not in _IDX_DTYPES:
-        raise ParseError(f"{path}: bad IDX magic bytes")
-    header_size = 4 + 4 * ndim
-    if len(blob) < header_size:
-        raise ParseError(f"{path}: truncated IDX dimension list")
-    dims = struct.unpack_from(f">{ndim}I", blob, 4)
-    dtype = np.dtype(_IDX_DTYPES[dtype_code])
-    count = int(np.prod(dims)) if dims else 0
-    expected = header_size + count * dtype.itemsize
-    if len(blob) != expected:
-        raise ParseError(f"{path}: IDX payload has {len(blob) - header_size} bytes, "
-                         f"expected {expected - header_size}")
-    data = np.frombuffer(blob, dtype=dtype, offset=header_size, count=count)
-    return data.reshape(dims).astype(np.float64 if dtype.kind == "f" else np.int64)
-
-
-def load_idx_dataset(images_path, labels_path, digit_neg=4, digit_pos=5, per_class=None):
-    """Build a binary dataset from IDX image/label files for two digits.
-
-    Images are flattened row-major; pixel values stay in their raw range
-    (apply :func:`scale_features` downstream). ``per_class`` caps the
-    number of samples kept per digit, in file order.
-    """
-    images = read_idx(images_path)
-    labels = read_idx(labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise ParseError(f"{images_path}: image/label counts differ")
-    flat = images.reshape(images.shape[0], -1).astype(float)
-    xs = []
-    ys = []
-    for digit, target in ((digit_neg, -1.0), (digit_pos, 1.0)):
-        picked = np.flatnonzero(labels == digit)
-        if per_class is not None:
-            picked = picked[:per_class]
-        xs.append(flat[picked])
-        ys.append(np.full(picked.shape[0], target))
-    return Dataset(x=np.vstack(xs), y=np.concatenate(ys))

@@ -1,9 +1,16 @@
-"""Platt-style sequential minimal optimization for the dual soft-margin SVM.
+"""Sequential minimal optimization for the dual soft-margin SVM.
 
-Serves as the correctness oracle for small instances and as the
-convergence-speed baseline in the benchmark harness. Pair selection is the
-standard first-violator outer loop with the maximal |E1 - E2| inner
-heuristic and a seeded randomized fallback.
+Solves max sum(alpha) - 1/2 alpha^T Q alpha subject to 0 <= alpha <= C and
+y^T alpha = 0, where Q = build_kernel_matrix(...).entries holds
+y_i y_j k(x_i, x_j). Serves as the correctness oracle for small instances
+and as the convergence-speed baseline in the benchmark harness.
+
+Pair selection follows LIBSVM: i is the maximal violator argmax -y_t G_t
+over I_up, and j is chosen from I_low by the second-order gain -b^2/a
+(Fan, Chen & Lin 2005, "WSS2"), where G = Q alpha - e is kept up to date
+from two rows of Q per step. The solver stops once the maximal violating
+pair's gap m(alpha) - M(alpha) falls below ``kkt_tol``. A pass is at most
+N pair updates.
 """
 
 import time
@@ -14,6 +21,9 @@ import numpy as np
 from .admm import ConvergenceTrace, TraceRow
 from .errors import SingleClassError
 from .kernel import build_kernel_matrix
+from .svm import accuracy
+
+TAU = 1e-12  # replaces a non-positive curvature a_ij, as in LIBSVM
 
 
 @dataclass(frozen=True)
@@ -21,7 +31,6 @@ class SmoConfig:
     c_box: float = 10.0
     kkt_tol: float = 1e-3
     max_passes: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if self.c_box <= 0 or self.kkt_tol <= 0 or self.max_passes < 1:
@@ -37,188 +46,116 @@ class SmoResult:
     passes: int
 
 
-class _SmoSolver:
-    def __init__(self, K, y, cfg, use_error_cache):
-        self.K = K
-        self.y = y
-        self.n = y.shape[0]
-        self.C = cfg.c_box
-        self.tol = cfg.kkt_tol
-        self.eps = cfg.kkt_tol
-        self.rng = np.random.default_rng(cfg.seed)
-        self.use_cache = use_error_cache
-        self.alpha = np.zeros(self.n)
-        self.b = 0.0
-        # decision values f_i = sum_j alpha_j y_j K_ij + b, kept incrementally
-        self.f = np.full(self.n, self.b)
+def _violations(y, alpha, grad, c):
+    """-y_t G_t, with the masks of I_up and I_low."""
+    v = -y * grad
+    up = np.where(y > 0, alpha < c, alpha > 0)
+    low = np.where(y > 0, alpha > 0, alpha < c)
+    return v, up, low
 
-    def decision(self, i):
-        if self.use_cache:
-            return self.f[i]
-        return float(np.dot(self.alpha * self.y, self.K[:, i])) + self.b
 
-    def decisions(self):
-        if self.use_cache:
-            return self.f
-        return self.K @ (self.alpha * self.y) + self.b
-
-    def error(self, i):
-        return self.decision(i) - self.y[i]
-
-    def take_step(self, i1, i2, e2):
-        if i1 == i2:
-            return False
-        a1, a2 = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        e1 = self.error(i1)
-        s = y1 * y2
-        if s > 0:
-            lo = max(0.0, a1 + a2 - self.C)
-            hi = min(self.C, a1 + a2)
+def _pair_update(ai, aj, yi, yj, gi, gj, a, c):
+    """LIBSVM's clipped two-variable step on (alpha_i, alpha_j) along y^T alpha = 0."""
+    if yi != yj:
+        delta = (-gi - gj) / a
+        diff = ai - aj
+        ai += delta
+        aj += delta
+        if diff > 0:
+            if aj < 0:
+                aj, ai = 0.0, diff
+            if ai > c:
+                ai, aj = c, c - diff
         else:
-            lo = max(0.0, a2 - a1)
-            hi = min(self.C, self.C + a2 - a1)
-        if hi - lo < 1e-12:
-            return False
-
-        k11 = self.K[i1, i1]
-        k12 = self.K[i1, i2]
-        k22 = self.K[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0:
-            a2_new = a2 + y2 * (e1 - e2) / eta
-            a2_new = min(max(a2_new, lo), hi)
+            if ai < 0:
+                ai, aj = 0.0, -diff
+            if aj > c:
+                aj, ai = c, c + diff
+    else:
+        delta = (gi - gj) / a
+        total = ai + aj
+        ai -= delta
+        aj += delta
+        if total > c:
+            if ai > c:
+                ai, aj = c, total - c
+            if aj > c:
+                aj, ai = c, total - c
         else:
-            # flat direction: evaluate the dual objective at both clip ends
-            f1 = y1 * (e1 + self.b) - a1 * k11 - s * a2 * k12
-            f2 = y2 * (e2 + self.b) - s * a1 * k12 - a2 * k22
-            l1 = a1 + s * (a2 - lo)
-            h1 = a1 + s * (a2 - hi)
-            lo_obj = l1 * f1 + lo * f2 + 0.5 * l1 * l1 * k11 + 0.5 * lo * lo * k22 + s * lo * l1 * k12
-            hi_obj = h1 * f1 + hi * f2 + 0.5 * h1 * h1 * k11 + 0.5 * hi * hi * k22 + s * hi * h1 * k12
-            if lo_obj < hi_obj - self.eps:
-                a2_new = lo
-            elif lo_obj > hi_obj + self.eps:
-                a2_new = hi
-            else:
-                a2_new = a2
-
-        if abs(a2_new - a2) < self.eps * (a2_new + a2 + self.eps):
-            return False
-        a1_new = a1 + s * (a2 - a2_new)
-
-        d1 = y1 * (a1_new - a1)
-        d2 = y2 * (a2_new - a2)
-        b1 = self.b - e1 - d1 * k11 - d2 * k12
-        b2 = self.b - e2 - d1 * k12 - d2 * k22
-        if 0.0 < a1_new < self.C:
-            b_new = b1
-        elif 0.0 < a2_new < self.C:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-
-        if self.use_cache:
-            self.f += d1 * self.K[i1, :] + d2 * self.K[i2, :] + (b_new - self.b)
-        self.alpha[i1] = a1_new
-        self.alpha[i2] = a2_new
-        self.b = b_new
-        return True
-
-    def examine(self, i2):
-        y2 = self.y[i2]
-        a2 = self.alpha[i2]
-        e2 = self.error(i2)
-        r2 = e2 * y2
-        if not ((r2 < -self.tol and a2 < self.C) or (r2 > self.tol and a2 > 0.0)):
-            return 0
-
-        non_bound = np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.C))
-        if non_bound.shape[0] > 1:
-            errs = self.decisions()[non_bound] - self.y[non_bound]
-            i1 = int(non_bound[np.argmax(np.abs(errs - e2))])
-            if self.take_step(i1, i2, e2):
-                return 1
-        for i1 in self.rng.permutation(non_bound):
-            if self.take_step(int(i1), i2, e2):
-                return 1
-        for i1 in self.rng.permutation(self.n):
-            if self.take_step(int(i1), i2, e2):
-                return 1
-        return 0
-
-    def dual_objective(self):
-        ay = self.alpha * self.y
-        return float(np.sum(self.alpha) - 0.5 * ay @ self.K @ ay)
-
-    def train_accuracy(self):
-        pred = np.where(self.decisions() >= 0.0, 1.0, -1.0)
-        return float(np.mean(pred == self.y))
+            if aj < 0:
+                aj, ai = 0.0, total
+            if ai < 0:
+                ai, aj = 0.0, total
+    return ai, aj
 
 
-def smo_train(X, y, kernel, cfg, gram=None, use_error_cache=True, accuracy_target=None):
+def _bias(v, alpha, c, m, big_m):
+    """Mean of -y_t G_t over free multipliers; the midpoint of [M, m] if none is free."""
+    free = (alpha > 0) & (alpha < c)
+    if np.any(free):
+        return float(np.mean(v[free]))
+    return float(0.5 * (m + big_m))
+
+
+def smo_train(X, y, kernel, cfg, accuracy_target=None):
     """Solve the dual SVM by SMO; returns multipliers, bias and a trace.
 
-    ``gram`` overrides the RBF kernel with a precomputed plain kernel
-    matrix (used e.g. for a linear-kernel oracle). One trace row is
-    recorded per outer pass with the dual objective and training accuracy;
-    instrumentation is excluded from the recorded pass times.
-    ``accuracy_target`` stops the solver early once the training accuracy
-    reaches the target (the result is then not marked converged).
+    One trace row is recorded per pass with the dual objective and the
+    training accuracy of the decisions y * (G + 1) + b; instrumentation is
+    excluded from the recorded pass times. ``accuracy_target`` stops the
+    solver after the first pass whose training accuracy reaches the target
+    (the result is then not marked converged unless the gap also closed).
     """
     y = np.asarray(y, dtype=float)
     if np.all(y > 0) or np.all(y < 0):
         raise SingleClassError("training data contains a single class")
     setup_start = time.perf_counter()
-    if gram is None:
-        psi = build_kernel_matrix(X, y, kernel).entries
-        K = psi * y[:, None] * y[None, :]
-    else:
-        K = np.asarray(gram, dtype=float)
+    q = build_kernel_matrix(X, y, kernel).entries
     setup_ms = (time.perf_counter() - setup_start) * 1e3
 
-    solver = _SmoSolver(K, y, cfg, use_error_cache)
+    n = y.shape[0]
+    c = cfg.c_box
+    qd = np.diagonal(q)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
     trace = ConvergenceTrace()
-    examine_all = True
     converged = False
     passes = 0
-    while passes < cfg.max_passes:
+    while passes < cfg.max_passes and not converged:
         tic = time.perf_counter()
-        if examine_all:
-            targets = range(solver.n)
-        else:
-            targets = np.flatnonzero((solver.alpha > 0.0) & (solver.alpha < solver.C))
-        num_changed = 0
-        for i2 in targets:
-            num_changed += solver.examine(int(i2))
+        for _ in range(n):
+            v, up, low = _violations(y, alpha, grad, c)
+            i = int(np.argmax(np.where(up, v, -np.inf)))
+            m = v[i]
+            if m - np.min(v[low]) < cfg.kkt_tol:
+                break
+            b = m - v
+            a = qd[i] + qd - (2.0 * y[i]) * y * q[i]
+            a[a <= 0] = TAU
+            gain = np.where(low & (b > 0), b * b / a, -np.inf)
+            j = int(np.argmax(gain))
+            ai, aj = _pair_update(alpha[i], alpha[j], y[i], y[j], grad[i], grad[j], a[j], c)
+            grad += (ai - alpha[i]) * q[i] + (aj - alpha[j]) * q[j]
+            alpha[i], alpha[j] = ai, aj
         elapsed_ms = (time.perf_counter() - tic) * 1e3
         passes += 1
         if passes == 1:
             elapsed_ms += setup_ms
 
-        acc = solver.train_accuracy()
+        v, up, low = _violations(y, alpha, grad, c)
+        m, big_m = np.max(v[up]), np.min(v[low])
+        converged = bool(m - big_m < cfg.kkt_tol)
+        bias = _bias(v, alpha, c, m, big_m)
+        acc = accuracy(y * (grad + 1.0) + bias, y)
         trace.append(
             TraceRow(
                 iteration=passes,
                 train_accuracy=acc,
                 elapsed_ms=elapsed_ms,
-                objective=solver.dual_objective(),
+                objective=float(0.5 * alpha.sum() - 0.5 * alpha @ grad),
             )
         )
         if accuracy_target is not None and acc >= accuracy_target:
             break
-        if examine_all:
-            if num_changed == 0:
-                converged = True
-                break
-            examine_all = False
-        elif num_changed == 0:
-            examine_all = True
 
-    return SmoResult(
-        alpha=solver.alpha,
-        b=solver.b,
-        trace=trace,
-        converged=converged,
-        passes=passes,
-    )
+    return SmoResult(alpha=alpha, b=bias, trace=trace, converged=converged, passes=passes)
