@@ -113,9 +113,6 @@ class ConvergenceTrace:
     def __len__(self):
         return len(self.rows)
 
-    def total_elapsed_ms(self):
-        return sum(r.elapsed_ms or 0.0 for r in self.rows)
-
     def time_to_accuracy_ms(self, target):
         """Cumulative solver time at the first trace row reaching ``target``."""
         cum = 0.0

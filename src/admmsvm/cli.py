@@ -63,7 +63,7 @@ EXIT_DATA = 3
 EXIT_NOT_CONVERGED = 4
 
 DATA_DIR_ENV = "ADMMSVM_DATA_DIR"
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 TRACE_COLUMNS = ["iteration", "u_residual", "beta_residual", "train_accuracy", "elapsed_ms"]
 
 _DATA_ERRORS = (
@@ -145,17 +145,11 @@ def cmd_train(args):
         ds, test = split(ds, SplitSpec(args.train_fraction, seed=args.seed))
 
     n = ds.n
-    r = args.rank if args.rank is not None else min(64, n)
-    c = args.subset_size if args.subset_size is not None else r
-    if not 1 <= r <= c <= n:
-        raise InvalidCountError(
-            f"rank settings must satisfy r <= c <= N, got r={r}, c={c}, N={n}"
-        )
     params = KernelParams(gamma=-abs(args.gamma))
-
     wall_start = time.perf_counter()
     if args.path == "smo":
         cfg = SmoConfig(c_box=args.c_box, kkt_tol=args.kkt_tol, max_passes=args.max_passes)
+        settings = {"c_box": cfg.c_box, "kkt_tol": cfg.kkt_tol, "max_passes": cfg.max_passes}
         result = smo_train(ds.x, ds.y, params, cfg)
         model = _model_from_smo(result, ds, params)
         trace = result.trace
@@ -165,14 +159,17 @@ def cmd_train(args):
         nystrom_mse = None
         train_accuracy = accuracy(decision_values(model, ds.x), ds.y)
     else:
+        r = args.rank if args.rank is not None else min(64, n)
+        c = args.subset_size if args.subset_size is not None else r
+        if not 1 <= r <= c <= n:
+            raise InvalidCountError(
+                f"rank settings must satisfy r <= c <= N, got r={r}, c={c}, N={n}"
+            )
+        settings = {"lambda": args.lambda_, "rho": args.rho, "epsilon": args.epsilon,
+                    "max_iters": args.max_iters, "c": c, "r": r}
         nys = NystromConfig(c=c, r=r, seed=args.seed)
-        admm_cfg = AdmmConfig(
-            lambda_=args.lambda_,
-            rho=args.rho,
-            epsilon=args.epsilon,
-            max_iters=args.max_iters,
-            path=args.path,
-        )
+        admm_cfg = AdmmConfig(lambda_=args.lambda_, rho=args.rho, epsilon=args.epsilon,
+                              max_iters=args.max_iters, path=args.path)
         report = train_nonlinear(
             ds.x, ds.y, params, nys, admm_cfg,
             compute_mse=args.compute_mse, track_accuracy=True,
@@ -200,12 +197,7 @@ def cmd_train(args):
         "command": "train",
         "params": {
             "gamma": params.gamma,
-            "lambda": args.lambda_,
-            "rho": args.rho,
-            "epsilon": args.epsilon,
-            "max_iters": args.max_iters,
-            "c": c,
-            "r": r,
+            **settings,
             "seed": args.seed,
             "path": args.path,
             "scaling": args.scaling,

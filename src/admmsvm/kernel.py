@@ -3,6 +3,15 @@
 The Gaussian kernel here follows the convention k(xi, xj) =
 exp(gamma * ||xi - xj||^2) with gamma strictly negative, and the
 label-weighted matrix has entries y_i * y_j * k(x_i, x_j).
+
+Every RBF value in the package comes from one evaluator, ``_rbf``: kernel
+columns, the full kernel matrix and the decision values of
+:mod:`admmsvm.svm`. It works through blocks of row pairs whose difference
+tensor fits ``_DIFF_BUDGET_BYTES``, and reduces each pair with the same
+``np.sum(diff * diff, axis=-1)`` as the per-pair reference :func:`rbf`.
+Each entry therefore depends on its pair alone, not on the block it fell
+in: kernel columns equal the matching columns of the full matrix bitwise,
+and the full matrix is exactly symmetric.
 """
 
 from dataclasses import dataclass
@@ -11,7 +20,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DuplicateIndexError, IndexOutOfRangeError
 
-_BLOCK_ROWS = 256
+# bytes of one block's pairwise difference tensor, sized to stay in cache
+_DIFF_BUDGET_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -48,22 +58,28 @@ def rbf(xi, xj, params):
     return float(np.exp(params.gamma * np.sum(diff * diff, axis=-1)))
 
 
-def _sqdist_block(a, b):
-    # direct per-pair squared distance, summed along the feature axis; both
-    # the full matrix and column-slice paths go through this same expression
-    # so their entries agree bitwise
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+def _block_shape(n_cols, p):
+    """Rows and columns of one block whose difference tensor fits the budget.
+
+    A block spans whole rows when all ``n_cols`` columns fit; otherwise it
+    is one row's chunk of columns. A block holds at least one pair.
+    """
+    pairs = max(1, _DIFF_BUDGET_BYTES // (8 * max(p, 1)))
+    cols = max(1, min(n_cols, pairs))
+    return max(1, pairs // cols), cols
 
 
-def _weighted_kernel_block(x_rows, y_rows, x_cols, y_cols, gamma):
-    out = np.empty((x_rows.shape[0], x_cols.shape[0]))
-    for start in range(0, x_rows.shape[0], _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, x_rows.shape[0])
-        out[start:stop] = np.exp(gamma * _sqdist_block(x_rows[start:stop], x_cols))
-    out *= y_rows[:, None]
-    out *= y_cols[None, :]
-    return out
+def _rbf(a, b, gamma):
+    """The (len(a), len(b)) matrix of exp(gamma * ||a_i - b_j||^2)."""
+    out = np.empty((a.shape[0], b.shape[0]))
+    rows, cols = _block_shape(b.shape[0], a.shape[1])
+    for i in range(0, a.shape[0], rows):
+        for j in range(0, b.shape[0], cols):
+            diff = a[i:i + rows, None, :] - b[None, j:j + cols, :]
+            np.multiply(diff, diff, out=diff)
+            out[i:i + rows, j:j + cols] = np.sum(diff, axis=-1)
+    out *= gamma
+    return np.exp(out, out=out)
 
 
 def _check_samples(x, y):
@@ -83,12 +99,21 @@ def _check_samples(x, y):
 def build_kernel_matrix(X, y, params):
     """Assemble the full label-weighted kernel matrix.
 
-    The upper triangle is computed and mirrored, so the result is exactly
-    symmetric; the diagonal is exactly 1 since ||x - x|| = 0 and y_i^2 = 1.
+    Only row blocks on and above the diagonal are evaluated; each block's
+    transpose fills the part below it. The result is exactly symmetric,
+    and its diagonal is exactly 1 since ||x - x|| = 0 and y_i^2 = 1.
     """
     x, y = _check_samples(X, y)
-    psi = _weighted_kernel_block(x, y, x, y, params.gamma)
-    psi = np.triu(psi) + np.triu(psi, 1).T
+    n = x.shape[0]
+    psi = np.empty((n, n))
+    rows, _ = _block_shape(n, x.shape[1])
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = _rbf(x[start:stop], x[start:], params.gamma)
+        psi[start:stop, start:] = block
+        psi[stop:, start:stop] = block[:, stop - start:].T
+    psi *= y[:, None]
+    psi *= y[None, :]
     np.fill_diagonal(psi, 1.0)
     psi.flags.writeable = False
     return KernelMatrix(entries=psi)
@@ -109,7 +134,9 @@ def kernel_columns(X, y, params, M):
         raise IndexOutOfRangeError(f"subset indices must lie in [0, {n})")
     if np.unique(m).shape[0] != m.shape[0]:
         raise DuplicateIndexError("subset indices must be distinct")
-    cols = _weighted_kernel_block(x, y, x[m], y[m], params.gamma)
+    cols = _rbf(x, x[m], params.gamma)
+    cols *= y[:, None]
+    cols *= y[m][None, :]
     # entries on the sampled diagonal are k(x, x) = 1 exactly
     cols[m, np.arange(m.shape[0])] = 1.0
     return cols

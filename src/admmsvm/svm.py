@@ -14,7 +14,7 @@ import numpy as np
 
 from .admm import AugmentedDesign, ConvergenceTrace, solve_linear
 from .errors import DimensionMismatchError, MalformedModelFileError
-from .kernel import KernelParams, build_kernel_matrix
+from .kernel import KernelParams, _rbf, build_kernel_matrix
 from .nystrom import approximation_mse, nystrom_factor
 
 SUPPORT_DROP_TOL = 1e-12
@@ -71,8 +71,8 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
     factor = nystrom_factor(x, y, kernel, nys, subset=subset)
     design = AugmentedDesign.from_features(y[:, None] * factor.v, y)
 
-    accuracy_fn = in_sample_accuracy(factor.v, y) if track_accuracy else None
-    linear = solve_linear(design, admm, accuracy_fn=accuracy_fn)
+    accuracy_fn = in_sample_accuracy(factor.v, y)
+    linear = solve_linear(design, admm, accuracy_fn=accuracy_fn if track_accuracy else None)
 
     alpha_subset = factor.q_r @ (linear.beta / np.sqrt(factor.d_r))
     keep = np.abs(alpha_subset) > SUPPORT_DROP_TOL
@@ -87,7 +87,7 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
         kernel=kernel,
     )
 
-    train_accuracy = accuracy(decision_values(model, x), y)
+    train_accuracy = accuracy_fn(linear.beta, linear.beta0)
     mse = None
     if compute_mse:
         mse = approximation_mse(build_kernel_matrix(x, y, kernel), factor)
@@ -119,22 +119,8 @@ def accuracy(values, y):
     return float(np.mean(np.where(values >= 0.0, 1.0, -1.0) == y))
 
 
-def decision_value(model, x):
-    """Raw margin: sum of alpha_i y_i k(x_i, x) over support entries, plus bias."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or (model.n_support > 0 and x.shape[0] != model.p):
-        raise DimensionMismatchError(
-            f"query vector shape {x.shape} does not match model dimension {model.p}"
-        )
-    if model.n_support == 0:
-        return float(model.bias)
-    diff = model.features - x[None, :]
-    k = np.exp(model.kernel.gamma * np.sum(diff * diff, axis=1))
-    return float(np.dot(model.alpha_weighted, k) + model.bias)
-
-
 def decision_values(model, X):
-    """Vectorized decision_value over the rows of X."""
+    """Raw margins of the rows of X: sum of alpha_i y_i k(x_i, x) over the support, plus bias."""
     x = np.asarray(X, dtype=float)
     if x.ndim != 2 or (model.n_support > 0 and x.shape[1] != model.p):
         raise DimensionMismatchError(
@@ -142,24 +128,7 @@ def decision_values(model, X):
         )
     if model.n_support == 0:
         return np.full(x.shape[0], model.bias)
-    diff = x[:, None, :] - model.features[None, :, :]
-    k = np.exp(model.kernel.gamma * np.sum(diff * diff, axis=2))
-    return k @ model.alpha_weighted + model.bias
-
-
-def predict_nonlinear(model, x):
-    """Label from the sign of the decision value; ties go to +1."""
-    return 1 if decision_value(model, x) >= 0.0 else -1
-
-
-def predict_linear(model, x):
-    """Linear-model label from sign(x . beta + beta0); ties go to +1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != model.beta.shape:
-        raise DimensionMismatchError(
-            f"query vector shape {x.shape} does not match weights shape {model.beta.shape}"
-        )
-    return 1 if float(x @ model.beta + model.beta0) >= 0.0 else -1
+    return _rbf(x, model.features, model.kernel.gamma) @ model.alpha_weighted + model.bias
 
 
 def kernel_objective(X, y, kernel, alpha, b, lambda_):

@@ -1,11 +1,11 @@
-"""Nonlinear training: the traced in-sample accuracy against the final model."""
+"""Nonlinear training: the in-sample accuracy, traced and reported, against the final model."""
 
 import pytest
 
 from admmsvm.admm import AdmmConfig
 from admmsvm.kernel import KernelParams
 from admmsvm.nystrom import NystromConfig
-from admmsvm.svm import train_nonlinear
+from admmsvm.svm import accuracy, decision_values, train_nonlinear
 from admmsvm.synthetic import mnist_like
 
 
@@ -17,3 +17,13 @@ def test_last_trace_accuracy_equals_model_accuracy(path):
     assert report.converged
     assert report.train_accuracy >= 0.95
     assert report.trace.rows[-1].train_accuracy == report.train_accuracy
+
+
+@pytest.mark.parametrize("track_accuracy", [False, True])
+@pytest.mark.parametrize("path", ["efficient", "reference"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reported_accuracy_equals_decision_values_accuracy(seed, path, track_accuracy):
+    ds = mnist_like(512, seed=seed)
+    report = train_nonlinear(ds.x, ds.y, KernelParams(gamma=-1.0), NystromConfig(c=64, r=64),
+                             AdmmConfig(path=path), track_accuracy=track_accuracy)
+    assert report.train_accuracy == accuracy(decision_values(report.model, ds.x), ds.y)
