@@ -157,7 +157,7 @@ def cmd_train(args):
         iterations = result.passes
         effective_rank = None
         nystrom_mse = None
-        train_accuracy = accuracy(decision_values(model, ds.x), ds.y)
+        train_accuracy = trace.rows[-1].train_accuracy
     else:
         r = args.rank if args.rank is not None else min(64, n)
         c = args.subset_size if args.subset_size is not None else r

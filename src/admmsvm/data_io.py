@@ -1,7 +1,18 @@
 """Dataset ingestion, label normalization, feature scaling and splitting.
 
-Supports delimited text and the sparse "label idx:val" text format with
-1-based ascending indices.
+Delimited text has one parser: :func:`load_delimited_features` is
+:func:`load_delimited` with no label column. Blank lines are dropped, the
+header is detected from the first row alone, and the body is parsed in one
+``np.loadtxt`` call over its full width, so a ragged row fails there. Raw
+labels are cut from each line with one ``split``. The per-cell ``float``
+loop runs only when the block parse rejects the body or finds a NaN or Inf:
+it raises the typed error of the first bad row or cell (``ParseError`` or
+``MissingValueError``, with its line and column), or returns the values of
+cells that ``float`` accepts and ``loadtxt`` does not, such as ``"1_0"``.
+Wherever both accept a cell they give the same bits, so the result never
+depends on the path taken.
+
+The sparse "label idx:val" text format has 1-based ascending indices.
 """
 
 from dataclasses import dataclass
@@ -110,31 +121,88 @@ def load_delimited(path, label_column, delimiter=",", header="auto"):
     count from the end). With ``header="auto"`` a first row whose feature
     cells do not all parse as numbers is treated as column names.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    rows = [(i + 1, ln.split(delimiter)) for i, ln in enumerate(lines) if ln.strip()]
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
+    x, raw_labels, feature_names = _parse_delimited(path, delimiter, label_column, header)
+    y = _normalize_labels(raw_labels)
+    if x.shape[1] == 0:
+        raise ParseError(f"{path}: no feature columns")
+    return Dataset(x=x, y=y, feature_names=feature_names)
 
-    width = len(rows[0][1])
-    label_idx = label_column if label_column >= 0 else width + label_column
-    if not 0 <= label_idx < width:
-        raise ParseError(f"{path}: label column {label_column} outside row width {width}")
+
+def load_delimited_features(path, delimiter=","):
+    """Parse a label-free delimited file into a plain feature matrix."""
+    return _parse_delimited(path, delimiter, None, "auto")[0]
+
+
+def _parse_delimited(path, delimiter, label_column, header):
+    """Features, stripped raw labels (None without a label column) and column names."""
+    rows = _data_lines(path)
+    first = rows[0][1].split(delimiter)
+    width = len(first)
+    label_idx = None
+    if label_column is not None:
+        label_idx = label_column if label_column >= 0 else width + label_column
+        if not 0 <= label_idx < width:
+            raise ParseError(f"{path}: label column {label_column} outside row width {width}")
 
     feature_names = None
     if header == "auto":
-        has_header = not _feature_cells_numeric(rows[0][1], label_idx)
+        has_header = not _feature_cells_numeric(first, label_idx)
     else:
         has_header = bool(header)
     if has_header:
-        feature_names = [c for j, c in enumerate(rows[0][1]) if j != label_idx]
+        feature_names = [c for j, c in enumerate(first) if j != label_idx]
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path}: header but no data rows")
 
+    x = _parse_block(rows, delimiter, width, label_idx)
+    if x is None:
+        x = _parse_cells(path, rows, delimiter, width, label_idx)
+    if label_idx is None:
+        return x, None, feature_names
+    if label_idx == width - 1:
+        raw_labels = [line.rsplit(delimiter, 1)[-1].strip() for _, line in rows]
+    else:
+        raw_labels = [line.split(delimiter, label_idx + 1)[label_idx].strip() for _, line in rows]
+    return x, raw_labels, feature_names
+
+
+def _data_lines(path):
+    """(line number, text) of each non-blank line of a UTF-8 text file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return rows
+
+
+def _parse_block(rows, delimiter, width, label_idx):
+    """All feature cells in one ``np.loadtxt`` call over the full width.
+
+    Returns None when loadtxt rejects a cell, a row's width or the
+    delimiter (TypeError: several characters or a newline), or when a value
+    is NaN or Inf; :func:`_parse_cells` then names the error. The label
+    column is read as 0.0, so labels need not be numeric.
+    """
+    converters = None if label_idx is None else {label_idx: lambda cell: 0.0}
+    try:
+        block = np.loadtxt([line for _, line in rows], delimiter=delimiter, dtype=float,
+                           comments=None, ndmin=2, converters=converters)
+    except (ValueError, TypeError):
+        return None
+    if block.shape != (len(rows), width) or not np.isfinite(block).all():
+        return None
+    return block if label_idx is None else np.delete(block, label_idx, axis=1)
+
+
+def _parse_cells(path, rows, delimiter, width, label_idx):
+    """Per-cell ``float`` parse: the typed error of the first bad row or cell, else the values."""
     features = []
-    raw_labels = []
-    for lineno, cells in rows:
+    for lineno, line in rows:
+        cells = line.split(delimiter)
         if len(cells) != width:
             raise ParseError(f"{path}: inconsistent column count", line=lineno)
         row = []
@@ -143,7 +211,7 @@ def load_delimited(path, label_column, delimiter=",", header="auto"):
                 continue
             cell = cell.strip()
             if not cell:
-                raise MissingValueError(f"{path}: empty feature cell at line {lineno}, column {j}")
+                raise MissingValueError(f"{path}: empty feature cell", line=lineno, column=j)
             try:
                 row.append(float(cell))
             except ValueError:
@@ -151,36 +219,6 @@ def load_delimited(path, label_column, delimiter=",", header="auto"):
                     f"{path}: non-numeric feature value {cell!r}", line=lineno, column=j
                 ) from None
         features.append(row)
-        raw_labels.append(cells[label_idx].strip())
-
-    x = _finite_rows(path, features, rows)
-    y = _normalize_labels(raw_labels)
-    return Dataset(x=x, y=y, feature_names=feature_names)
-
-
-def load_delimited_features(path, delimiter=","):
-    """Parse a label-free delimited file into a plain feature matrix."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    rows = [(i + 1, ln.split(delimiter)) for i, ln in enumerate(lines) if ln.strip()]
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    width = len(rows[0][1])
-    if not _feature_cells_numeric(rows[0][1], label_idx=None):
-        rows = rows[1:]
-    features = []
-    for lineno, cells in rows:
-        if len(cells) != width:
-            raise ParseError(f"{path}: inconsistent column count", line=lineno)
-        try:
-            features.append([float(c) for c in cells])
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric value", line=lineno) from None
-    return _finite_rows(path, features, rows)
-
-
-def _finite_rows(path, features, rows):
-    """Stack parsed rows; a NaN or Inf cell is a parse error naming its line."""
     x = np.array(features, dtype=float)
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.shape[0]:
@@ -204,42 +242,39 @@ def load_sparse_text(path):
     raw_labels = []
     sparse_rows = []
     max_idx = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            raw_labels.append(tokens[0])
-            pairs = []
-            prev = 0
-            for tok in tokens[1:]:
-                if ":" not in tok:
-                    raise ParseError(f"{path}: expected idx:val, got {tok!r}", line=lineno)
-                idx_s, val_s = tok.split(":", 1)
-                try:
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise ParseError(f"{path}: bad idx:val pair {tok!r}", line=lineno) from None
-                if not np.isfinite(val):
-                    raise ParseError(f"{path}: non-finite value {tok!r}", line=lineno)
-                if idx < 1:
-                    raise ParseError(f"{path}: indices are 1-based, got {idx}", line=lineno)
-                if idx <= prev:
-                    raise NonAscendingIndexError(
-                        f"{path}: index {idx} after {prev} at line {lineno}"
-                    )
-                prev = idx
-                pairs.append((idx, val))
-                max_idx = max(max_idx, idx)
-            sparse_rows.append(pairs)
-    if not sparse_rows:
-        raise ParseError(f"{path}: no data rows")
+    for lineno, line in _data_lines(path):
+        tokens = line.split()
+        raw_labels.append(tokens[0])
+        pairs = []
+        prev = 0
+        for tok in tokens[1:]:
+            if ":" not in tok:
+                raise ParseError(f"{path}: expected idx:val, got {tok!r}", line=lineno)
+            idx_s, val_s = tok.split(":", 1)
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise ParseError(f"{path}: bad idx:val pair {tok!r}", line=lineno) from None
+            if not np.isfinite(val):
+                raise ParseError(f"{path}: non-finite value {tok!r}", line=lineno)
+            if idx < 1:
+                raise ParseError(f"{path}: indices are 1-based, got {idx}", line=lineno)
+            if idx <= prev:
+                raise NonAscendingIndexError(
+                    f"{path}: index {idx} after {prev} at line {lineno}"
+                )
+            prev = idx
+            pairs.append((idx, val))
+            max_idx = max(max_idx, idx)
+        sparse_rows.append(pairs)
     if max_idx == 0:
         raise ParseError(f"{path}: no feature indices found")
 
-    x = np.zeros((len(sparse_rows), max_idx))
+    try:
+        x = np.zeros((len(sparse_rows), max_idx))
+    except (ValueError, MemoryError):
+        raise ParseError(f"{path}: feature index {max_idx} too large to hold densely") from None
     for i, pairs in enumerate(sparse_rows):
         for idx, val in pairs:
             x[i, idx - 1] = val

@@ -57,7 +57,7 @@ class NotBinaryError(AdmmSvmError):
     """A dataset has more than two distinct label values."""
 
 
-class MissingValueError(AdmmSvmError):
+class MissingValueError(ParseError):
     """A dataset row has an empty or absent feature value."""
 
 

@@ -16,6 +16,8 @@ from .eigen import DEFAULT_EIG_TOL, SymmetricMatrix, symmetric_evd, truncate_spe
 from .errors import DimensionMismatchError, InvalidCountError
 from .kernel import kernel_columns
 
+_MSE_BLOCK_BYTES = 1 << 20  # one row block of the residual
+
 
 @dataclass(frozen=True)
 class NystromConfig:
@@ -99,12 +101,22 @@ def nystrom_factor(X, y, params, cfg, subset=None):
 
 
 def approximation_mse(psi, factor):
-    """Mean squared entry-wise error between Psi and v v^T."""
+    """Mean squared entry-wise error between Psi and v v^T.
+
+    The residual is summed over row blocks of ``_MSE_BLOCK_BYTES``, so no
+    N x N array is formed beyond ``psi`` itself.
+    """
     entries = psi.entries
     n = entries.shape[0]
     if factor.v.shape[0] != n:
         raise DimensionMismatchError(
             f"factor covers {factor.v.shape[0]} samples, kernel matrix has {n}"
         )
-    resid = entries - factor.v @ factor.v.T
-    return float(np.sum(resid * resid) / (n * n))
+    v = factor.v
+    step = max(1, _MSE_BLOCK_BYTES // (8 * n))
+    total = 0.0
+    for start in range(0, n, step):
+        resid = v[start:start + step] @ v.T
+        np.subtract(entries[start:start + step], resid, out=resid)
+        total += np.vdot(resid, resid)
+    return float(total / (n * n))

@@ -21,6 +21,7 @@ SUPPORT_DROP_TOL = 1e-12
 
 _MAGIC = b"ADMMSVM\x00"
 _VERSION = 1
+_HEAD_FORMAT = "<8sIddII"
 _JSON_FORMAT = "admmsvm-model"
 
 
@@ -167,15 +168,21 @@ def load_model(source):
     if blob[:1] == b"{":
         try:
             payload = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise MalformedModelFileError(f"invalid JSON model file: {exc}") from exc
         return _from_json_dict(payload)
     return _from_binary(blob)
 
 
+def _entry_dtype(p):
+    """One packed support entry: index, alpha*y, label (1 for +1) and p features."""
+    return np.dtype([("index", "<u4"), ("alpha_weighted", "<f8"), ("label", "u1"),
+                     ("features", "<f8", (p,))])
+
+
 def _to_binary(model):
     head = struct.pack(
-        "<8sIddII",
+        _HEAD_FORMAT,
         _MAGIC,
         _VERSION,
         model.kernel.gamma,
@@ -183,55 +190,44 @@ def _to_binary(model):
         model.n_support,
         model.p,
     )
-    parts = [head]
-    for i in range(model.n_support):
-        parts.append(
-            struct.pack(
-                f"<IdB{model.p}d",
-                int(model.indices[i]),
-                float(model.alpha_weighted[i]),
-                1 if model.labels[i] > 0 else 0,
-                *model.features[i],
-            )
-        )
-    return b"".join(parts)
+    entries = np.empty(model.n_support, dtype=_entry_dtype(model.p))
+    entries["index"] = model.indices
+    entries["alpha_weighted"] = model.alpha_weighted
+    entries["label"] = model.labels > 0
+    entries["features"] = model.features
+    return head + entries.tobytes()
 
 
 def _from_binary(blob):
-    head_size = struct.calcsize("<8sIddII")
+    head_size = struct.calcsize(_HEAD_FORMAT)
     if len(blob) < head_size:
         raise MalformedModelFileError("model file truncated in header")
-    magic, version, gamma, bias, n_support, p = struct.unpack_from("<8sIddII", blob)
+    magic, version, gamma, bias, n_support, p = struct.unpack_from(_HEAD_FORMAT, blob)
     if magic != _MAGIC:
         raise MalformedModelFileError("bad magic header; not an admmsvm model file")
     if version != _VERSION:
         raise MalformedModelFileError(f"unsupported model format version {version}")
-    entry_fmt = f"<IdB{p}d"
-    entry_size = struct.calcsize(entry_fmt)
-    expected = head_size + n_support * entry_size
+    try:
+        kernel = KernelParams(gamma=gamma)
+    except ValueError as exc:
+        raise MalformedModelFileError(f"model file holds a bad kernel: {exc}") from None
+    try:
+        entry = _entry_dtype(p)
+    except ValueError:
+        raise MalformedModelFileError(f"model file declares {p} features") from None
+    expected = head_size + n_support * entry.itemsize
     if len(blob) != expected:
         raise MalformedModelFileError(
             f"model file has {len(blob)} bytes, expected {expected}"
         )
-    indices = np.empty(n_support, dtype=int)
-    alpha_weighted = np.empty(n_support)
-    labels = np.empty(n_support)
-    features = np.empty((n_support, p))
-    offset = head_size
-    for i in range(n_support):
-        fields = struct.unpack_from(entry_fmt, blob, offset)
-        indices[i] = fields[0]
-        alpha_weighted[i] = fields[1]
-        labels[i] = 1.0 if fields[2] else -1.0
-        features[i] = fields[3:]
-        offset += entry_size
+    entries = np.frombuffer(blob, dtype=entry, count=n_support, offset=head_size)
     return NonlinearModel(
-        indices=indices,
-        alpha_weighted=alpha_weighted,
-        labels=labels,
-        features=features,
+        indices=entries["index"].astype(int),
+        alpha_weighted=entries["alpha_weighted"].astype(float),
+        labels=np.where(entries["label"] != 0, 1.0, -1.0),
+        features=entries["features"].astype(float, order="C"),
         bias=bias,
-        kernel=KernelParams(gamma=gamma),
+        kernel=kernel,
     )
 
 
@@ -263,9 +259,9 @@ def _from_json_dict(payload):
         n = len(support)
         p = len(support[0]["features"]) if n else 0
         indices = np.array([e["index"] for e in support], dtype=int)
-        alpha_weighted = np.array([e["alpha_weighted"] for e in support])
+        alpha_weighted = np.array([e["alpha_weighted"] for e in support], dtype=float)
         labels = np.array([float(e["label"]) for e in support])
-        features = np.array([e["features"] for e in support]).reshape(n, p)
+        features = np.array([e["features"] for e in support], dtype=float).reshape(n, p)
         return NonlinearModel(
             indices=indices,
             alpha_weighted=alpha_weighted,
@@ -274,5 +270,5 @@ def _from_json_dict(payload):
             bias=float(payload["bias"]),
             kernel=KernelParams(gamma=float(payload["gamma"])),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise MalformedModelFileError(f"model JSON missing or malformed field: {exc}") from exc

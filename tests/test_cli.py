@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from admmsvm import cli
+from admmsvm.svm import accuracy, decision_values, load_model
 from admmsvm.synthetic import mnist_like
 
 
@@ -54,3 +55,14 @@ def test_report_records_the_settings_of_the_path_that_ran(tmp_path, monkeypatch,
     assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION
     common = {"gamma": -1.0, "seed": 0, "path": path, "scaling": "none"}
     assert report["params"] == {**common, **settings}
+
+
+def test_smo_report_accuracy_equals_saved_model_accuracy(tmp_path, monkeypatch):
+    ds = mnist_like(512, seed=1)
+    np.savetxt(tmp_path / "data.csv", np.column_stack([ds.x, ds.y]), delimiter=",",
+               fmt="%.17g")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--data", "data.csv", "--path", "smo"]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    model = load_model("model.svm")
+    assert report["train_accuracy"] == accuracy(decision_values(model, ds.x), ds.y)
