@@ -94,24 +94,27 @@ class ScalingRecord:
 
 
 def _normalize_labels(raw):
-    """Map two distinct raw label values onto -1/+1 (smaller raw value -> -1)."""
-    distinct = sorted(set(raw))
+    """Map two distinct raw label values onto -1/+1 (smaller raw value -> -1).
+
+    Labels that all parse as numbers are keyed by value, so ``1`` and
+    ``1.0`` name one class; otherwise (or with a NaN, which equals nothing)
+    they are keyed by their text and ordered lexicographically.
+    """
+    try:
+        keys = [float(v) for v in raw]
+    except ValueError:
+        keys = raw
+    if any(k != k for k in keys):
+        keys = raw
+    distinct = sorted(set(keys))
     if len(distinct) > 2:
         raise NotBinaryError(f"expected at most 2 label values, found {len(distinct)}")
     if len(distinct) == 1:
-        try:
-            only = float(distinct[0])
-        except ValueError:
-            only = None
-        if only in (-1.0, 1.0):
-            return np.full(len(raw), only)
+        if distinct[0] in (-1.0, 1.0):
+            return np.full(len(raw), distinct[0])
         raise NotBinaryError("a single non +-1 label value cannot be normalized")
-    try:
-        keyed = sorted(distinct, key=float)
-    except ValueError:
-        keyed = distinct  # lexicographic for non-numeric labels
-    mapping = {keyed[0]: -1.0, keyed[1]: 1.0}
-    return np.array([mapping[v] for v in raw])
+    mapping = {distinct[0]: -1.0, distinct[1]: 1.0}
+    return np.array([mapping[k] for k in keys])
 
 
 def load_delimited(path, label_column, delimiter=",", header="auto"):

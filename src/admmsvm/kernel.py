@@ -5,8 +5,9 @@ exp(gamma * ||xi - xj||^2) with gamma strictly negative, and the
 label-weighted matrix has entries y_i * y_j * k(x_i, x_j).
 
 Every RBF value in the package comes from one evaluator, ``_rbf``: kernel
-columns, the full kernel matrix and the decision values of
-:mod:`admmsvm.svm`. It works through blocks of row pairs whose difference
+columns (the Nystrom subset columns, and the rows of Q that
+:mod:`admmsvm.smo` fetches one at a time), the full kernel matrix and the
+decision values of :mod:`admmsvm.svm`. It works through blocks of row pairs whose difference
 tensor fits ``_DIFF_BUDGET_BYTES``, and reduces each pair with the same
 ``np.sum(diff * diff, axis=-1)`` as the per-pair reference :func:`rbf`.
 Each entry therefore depends on its pair alone, not on the block it fell

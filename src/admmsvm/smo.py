@@ -1,9 +1,9 @@
 """Sequential minimal optimization for the dual soft-margin SVM.
 
 Solves max sum(alpha) - 1/2 alpha^T Q alpha subject to 0 <= alpha <= C and
-y^T alpha = 0, where Q = build_kernel_matrix(...).entries holds
-y_i y_j k(x_i, x_j). Serves as the correctness oracle for small instances
-and as the convergence-speed baseline in the benchmark harness.
+y^T alpha = 0, where Q holds y_i y_j k(x_i, x_j). Serves as the correctness
+oracle for small instances and as the convergence-speed baseline in the
+benchmark harness.
 
 Pair selection follows LIBSVM: i is the maximal violator argmax -y_t G_t
 over I_up, and j is chosen from I_low by the second-order gain -b^2/a
@@ -11,6 +11,12 @@ over I_up, and j is chosen from I_low by the second-order gain -b^2/a
 from two rows of Q per step. The solver stops once the maximal violating
 pair's gap m(alpha) - M(alpha) falls below ``kkt_tol``. A pass is at most
 N pair updates.
+
+Q is never built. Row t comes from ``kernel_columns`` the first time a step
+selects t and is kept for the rest of the run, as LIBSVM's row cache does;
+most runs read a small share of the N rows. Q is exactly symmetric and
+equals those columns bitwise, so the rows are the rows of
+``build_kernel_matrix`` and its unit diagonal makes Q_ii + Q_jj exactly 2.
 """
 
 import time
@@ -20,7 +26,7 @@ import numpy as np
 
 from .admm import ConvergenceTrace, TraceRow
 from .errors import SingleClassError
-from .kernel import build_kernel_matrix
+from .kernel import _check_samples, kernel_columns
 from .svm import accuracy
 
 TAU = 1e-12  # replaces a non-positive curvature a_ij, as in LIBSVM
@@ -44,6 +50,7 @@ class SmoResult:
     trace: ConvergenceTrace
     converged: bool
     passes: int
+    kernel_rows: int  # distinct rows of Q evaluated
 
 
 def _violations(y, alpha, grad, c):
@@ -97,25 +104,14 @@ def _bias(v, alpha, c, m, big_m):
     return float(0.5 * (m + big_m))
 
 
-def smo_train(X, y, kernel, cfg, accuracy_target=None):
-    """Solve the dual SVM by SMO; returns multipliers, bias and a trace.
+def _solve(row, y, cfg, accuracy_target=None):
+    """The WSS2 pass loop on Q given by rows: ``row(t)`` returns Q[t].
 
-    One trace row is recorded per pass with the dual objective and the
-    training accuracy of the decisions y * (G + 1) + b; instrumentation is
-    excluded from the recorded pass times. ``accuracy_target`` stops the
-    solver after the first pass whose training accuracy reaches the target
-    (the result is then not marked converged unless the gap also closed).
+    Q must have a unit diagonal. Returns alpha, the bias, the trace, whether
+    the gap closed and the number of passes.
     """
-    y = np.asarray(y, dtype=float)
-    if np.all(y > 0) or np.all(y < 0):
-        raise SingleClassError("training data contains a single class")
-    setup_start = time.perf_counter()
-    q = build_kernel_matrix(X, y, kernel).entries
-    setup_ms = (time.perf_counter() - setup_start) * 1e3
-
     n = y.shape[0]
     c = cfg.c_box
-    qd = np.diagonal(q)
     alpha = np.zeros(n)
     grad = -np.ones(n)
     trace = ConvergenceTrace()
@@ -130,17 +126,16 @@ def smo_train(X, y, kernel, cfg, accuracy_target=None):
             if m - np.min(v[low]) < cfg.kkt_tol:
                 break
             b = m - v
-            a = qd[i] + qd - (2.0 * y[i]) * y * q[i]
+            q_i = row(i)
+            a = 2.0 - (2.0 * y[i]) * y * q_i
             a[a <= 0] = TAU
             gain = np.where(low & (b > 0), b * b / a, -np.inf)
             j = int(np.argmax(gain))
             ai, aj = _pair_update(alpha[i], alpha[j], y[i], y[j], grad[i], grad[j], a[j], c)
-            grad += (ai - alpha[i]) * q[i] + (aj - alpha[j]) * q[j]
+            grad += (ai - alpha[i]) * q_i + (aj - alpha[j]) * row(j)
             alpha[i], alpha[j] = ai, aj
         elapsed_ms = (time.perf_counter() - tic) * 1e3
         passes += 1
-        if passes == 1:
-            elapsed_ms += setup_ms
 
         v, up, low = _violations(y, alpha, grad, c)
         m, big_m = np.max(v[up]), np.min(v[low])
@@ -157,5 +152,30 @@ def smo_train(X, y, kernel, cfg, accuracy_target=None):
         )
         if accuracy_target is not None and acc >= accuracy_target:
             break
+    return alpha, bias, trace, converged, passes
 
-    return SmoResult(alpha=alpha, b=bias, trace=trace, converged=converged, passes=passes)
+
+def smo_train(X, y, kernel, cfg, accuracy_target=None):
+    """Solve the dual SVM by SMO; returns multipliers, bias and a trace.
+
+    One trace row is recorded per pass with the dual objective and the
+    training accuracy of the decisions y * (G + 1) + b; instrumentation is
+    excluded from the recorded pass times, and kernel rows are evaluated
+    inside them. ``accuracy_target`` stops the solver after the first pass
+    whose training accuracy reaches the target (the result is then not
+    marked converged unless the gap also closed).
+    """
+    y = np.asarray(y, dtype=float)
+    if np.all(y > 0) or np.all(y < 0):
+        raise SingleClassError("training data contains a single class")
+    x, y = _check_samples(X, y)
+    rows = {}
+
+    def row(t):
+        if t not in rows:
+            rows[t] = np.ascontiguousarray(kernel_columns(x, y, kernel, [t])[:, 0])
+        return rows[t]
+
+    alpha, bias, trace, converged, passes = _solve(row, y, cfg, accuracy_target)
+    return SmoResult(alpha=alpha, b=bias, trace=trace, converged=converged, passes=passes,
+                     kernel_rows=len(rows))

@@ -237,6 +237,7 @@ def _to_json_dict(model):
         "version": _VERSION,
         "gamma": model.kernel.gamma,
         "bias": model.bias,
+        "p": model.p,
         "support": [
             {
                 "index": int(model.indices[i]),
@@ -257,7 +258,14 @@ def _from_json_dict(payload):
             raise MalformedModelFileError(f"unsupported model version {payload['version']}")
         support = payload["support"]
         n = len(support)
-        p = len(support[0]["features"]) if n else 0
+        if "p" in payload:
+            p = payload["p"]
+        else:  # files written before "p" was stored
+            p = len(support[0]["features"]) if n else 0
+        if type(p) is not int or not 0 <= p < 2 ** 31:
+            raise MalformedModelFileError(f"model JSON declares {p!r} features")
+        if any(len(e["features"]) != p for e in support):
+            raise MalformedModelFileError(f"model JSON has an entry without {p} features")
         indices = np.array([e["index"] for e in support], dtype=int)
         alpha_weighted = np.array([e["alpha_weighted"] for e in support], dtype=float)
         labels = np.array([float(e["label"]) for e in support])

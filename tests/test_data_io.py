@@ -256,3 +256,15 @@ def test_load_delimited_peak_memory_at_mnist_width(tmp_path):
         tracemalloc.stop()
     assert ds.x.tobytes() == x.tobytes()
     assert peak <= 100e6
+
+
+# --- labels -------------------------------------------------------------------
+
+@pytest.mark.parametrize("labels, expected", [
+    (["1", "1.0", "1"], [1.0, 1.0, 1.0]),
+    (["1", "1.0", "-1"], [1.0, 1.0, -1.0]),
+])
+def test_one_label_value_spelt_two_ways_is_one_class(tmp_path, labels, expected):
+    text = "".join(f"{i}.5,{label}\n" for i, label in enumerate(labels))
+    ds = load_delimited(_write(tmp_path, text), label_column=-1)
+    assert ds.y.tolist() == expected

@@ -131,3 +131,34 @@ def test_fuzz_load_model_loads_or_raises_typed_error(tmp_path, data):
         load_model(path)
     except AdmmSvmError as err:
         assert isinstance(err, MalformedModelFileError)
+
+
+def test_empty_json_model_keeps_its_feature_width(tmp_path):
+    model = _model(0, 5)
+    path = tmp_path / "empty.json"
+    save_model(model, path, fmt="json")
+    loaded = load_model(path)
+    assert loaded.features.shape == (0, 5)
+    _assert_same_model(model, loaded)
+    again = tmp_path / "again.json"
+    save_model(loaded, again, fmt="json")
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_json_model_without_p_takes_the_width_from_its_entries(tmp_path):
+    model = _model(3, 4)
+    payload = svm._to_json_dict(model)
+    del payload["p"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    _assert_same_model(model, load_model(path))
+
+
+@pytest.mark.parametrize("p", [2, 4, -1, 1.5, True, "3", None, 2 ** 31])
+def test_json_model_whose_entries_differ_from_p_is_malformed(tmp_path, p):
+    payload = svm._to_json_dict(_model(2, 3))
+    payload["p"] = p
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(MalformedModelFileError):
+        load_model(path)

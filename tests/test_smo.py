@@ -1,4 +1,6 @@
-"""SMO dual solver: analytic and pinned optima, a KKT certificate, trace and caps."""
+"""SMO dual solver: analytic and pinned optima, a KKT certificate, trace, caps and row cache."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,3 +122,58 @@ def test_random_problems_stay_feasible_and_certified(problem, c_box, gamma):
     assert abs(float(result.alpha @ y)) <= 1e-9 * c_box
     if result.converged:
         assert kkt_gap(x, y, kernel, result.alpha, c_box) <= cfg.kkt_tol
+
+
+# --- kernel rows on demand ------------------------------------------------------
+
+@pytest.mark.parametrize("n, p, seed, c_box", [
+    (512, 64, 0, 0.5), (512, 64, 0, 10.0), (512, 64, 1, 0.5), (512, 64, 1, 10.0),
+    (256, 784, 0, 10.0),
+])
+def test_cached_rows_give_the_dense_matrix_result(n, p, seed, c_box):
+    ds = mnist_like(n, p=p, seed=seed)
+    cfg = SmoConfig(c_box=c_box)
+    q = build_kernel_matrix(ds.x, ds.y, RBF).entries
+    alpha, b, trace, converged, passes = smo._solve(lambda t: q[t], ds.y, cfg)
+    result = smo_train(ds.x, ds.y, RBF, cfg)
+    assert result.alpha.tobytes() == alpha.tobytes()
+    assert (result.b, result.passes, result.converged) == (b, passes, converged)
+    assert [(r.objective, r.train_accuracy) for r in result.trace.rows] == [
+        (r.objective, r.train_accuracy) for r in trace.rows]
+
+
+def test_rows_are_fetched_once_each_and_equal_the_matrix(monkeypatch):
+    ds = mnist_like(512, seed=0)
+    q = build_kernel_matrix(ds.x, ds.y, RBF).entries
+    fetched = []
+    columns = smo.kernel_columns
+
+    def spy(x, y, params, m):
+        cols = columns(x, y, params, m)
+        fetched.extend((int(t), cols[:, k].copy()) for k, t in enumerate(m))
+        return cols
+
+    def no_matrix(*args):
+        raise AssertionError("smo_train built the full kernel matrix")
+
+    monkeypatch.setattr(smo, "kernel_columns", spy)
+    monkeypatch.setattr(smo, "build_kernel_matrix", no_matrix, raising=False)
+    monkeypatch.setattr("admmsvm.kernel.build_kernel_matrix", no_matrix)
+    result = smo_train(ds.x, ds.y, RBF, SmoConfig())
+    indices = [t for t, _ in fetched]
+    assert len(set(indices)) == len(indices)
+    assert 0 < result.kernel_rows == len(indices) <= ds.n
+    for t, values in fetched:
+        assert values.tobytes() == q[t].tobytes()
+
+
+def test_training_peak_memory_stays_far_below_the_matrix():
+    ds = mnist_like(2048)  # its label-weighted kernel matrix alone is 33.5 MB
+    tracemalloc.start()
+    try:
+        result = smo_train(ds.x, ds.y, RBF, SmoConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    assert peak <= 8e6
