@@ -237,7 +237,11 @@ def cmd_predict(args):
         x, labels = ds.x, ds.y
     if os.path.exists(sidecar):
         with open(sidecar, "r", encoding="utf-8") as fh:
-            record = ScalingRecord.from_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+                raise MalformedModelFileError(f"invalid scaling file {sidecar}: {exc}") from exc
+        record = ScalingRecord.from_dict(payload)
         x = record.apply(x)
 
     values = decision_values(model, x)

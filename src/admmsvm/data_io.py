@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     InsufficientClassSamplesError,
+    MalformedModelFileError,
     MissingValueError,
     NonAscendingIndexError,
     NotBinaryError,
@@ -79,18 +81,36 @@ class ScalingRecord:
     scale: np.ndarray
 
     def apply(self, x):
-        return (np.asarray(x, dtype=float) - self.offset) / self.scale
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.offset.shape[0]:
+            raise DimensionMismatchError(
+                f"scaling record has {self.offset.shape[0]} features, data has shape {x.shape}"
+            )
+        return (x - self.offset) / self.scale
 
     def to_dict(self):
         return {"mode": self.mode, "offset": self.offset.tolist(), "scale": self.scale.tolist()}
 
     @classmethod
     def from_dict(cls, payload):
-        return cls(
-            mode=payload["mode"],
-            offset=np.asarray(payload["offset"], dtype=float),
-            scale=np.asarray(payload["scale"], dtype=float),
-        )
+        """Rebuild a record saved by :meth:`to_dict`; a malformed one raises
+        ``MalformedModelFileError``."""
+        try:
+            mode = payload["mode"]
+            offset = np.asarray(payload["offset"], dtype=float)
+            scale = np.asarray(payload["scale"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedModelFileError(f"scaling record has a bad field: {exc}") from exc
+        if mode not in (SCALE_MINMAX, SCALE_ZSCORE, SCALE_NONE):
+            raise MalformedModelFileError(f"unknown scaling mode {mode!r}")
+        if offset.ndim != 1 or scale.shape != offset.shape:
+            raise MalformedModelFileError(
+                f"scaling offset and scale must be 1-D of one length, got "
+                f"{offset.shape} and {scale.shape}"
+            )
+        if not (np.all(np.isfinite(offset)) and np.all(np.isfinite(scale)) and np.all(scale > 0)):
+            raise MalformedModelFileError("scaling offsets must be finite, scales finite and > 0")
+        return cls(mode=mode, offset=offset, scale=scale)
 
 
 def _normalize_labels(raw):

@@ -4,15 +4,22 @@ The Gaussian kernel here follows the convention k(xi, xj) =
 exp(gamma * ||xi - xj||^2) with gamma strictly negative, and the
 label-weighted matrix has entries y_i * y_j * k(x_i, x_j).
 
-Every RBF value in the package comes from one evaluator, ``_rbf``: kernel
-columns (the Nystrom subset columns, and the rows of Q that
-:mod:`admmsvm.smo` fetches one at a time), the full kernel matrix and the
-decision values of :mod:`admmsvm.svm`. It works through blocks of row pairs whose difference
-tensor fits ``_DIFF_BUDGET_BYTES``, and reduces each pair with the same
-``np.sum(diff * diff, axis=-1)`` as the per-pair reference :func:`rbf`.
-Each entry therefore depends on its pair alone, not on the block it fell
-in: kernel columns equal the matching columns of the full matrix bitwise,
-and the full matrix is exactly symmetric.
+RBF values come from two evaluators with two contracts:
+
+- Entries of Q are exact and bitwise reproducible, through ``_rbf``: kernel
+  columns (the Nystrom subset columns, and the rows of Q that
+  :mod:`admmsvm.smo` fetches one at a time) and the full kernel matrix.
+  It works through blocks of row pairs whose difference tensor fits
+  ``_DIFF_BUDGET_BYTES``, and reduces each pair with the same
+  ``np.sum(diff * diff, axis=-1)`` as the per-pair reference :func:`rbf`.
+  Each entry therefore depends on its pair alone, not on the block it fell
+  in: kernel columns equal the matching columns of the full matrix
+  bitwise, and the full matrix is exactly symmetric.
+- Decision sums sum_j w_j k(q, f_j), the decision values of
+  :mod:`admmsvm.svm`, are within a stated error bound, through
+  ``_rbf_sums``: about 4 * eps * (1 + |gamma| * S) * sum_j |w_j|, where
+  S = max ||q - mu||^2 + max ||f - mu||^2 and mu is the support centroid.
+  Their kernel values are not bitwise equal to ``_rbf``'s.
 """
 
 from dataclasses import dataclass
@@ -23,6 +30,8 @@ from .errors import DimensionMismatchError, DuplicateIndexError, IndexOutOfRange
 
 # bytes of one block's pairwise difference tensor, sized to stay in cache
 _DIFF_BUDGET_BYTES = 256 * 1024
+# bytes of one query block's centred rows and its distances to the support
+_SUMS_BUDGET_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,35 @@ def _rbf(a, b, gamma):
             out[i:i + rows, j:j + cols] = np.sum(diff, axis=-1)
     out *= gamma
     return np.exp(out, out=out)
+
+
+def _rbf_sums(x, features, weights, gamma):
+    """sum_j weights_j * exp(gamma * ||x_i - features_j||^2) for every row x_i of x.
+
+    Each block of query rows, sized by ``_SUMS_BUDGET_BYTES``, takes one
+    matrix product: ||q - f||^2 = ||q||^2 + ||f||^2 - 2 q.f. Centring both
+    sides on mu = mean(features) leaves every distance unchanged and keeps
+    the expansion's three terms small, so they cancel with little loss. The
+    clamp at 0 removes the negative distances that rounding can leave
+    between a query and a support vector equal to it. Query blocks have a
+    fixed row count for a given (p, support size), so repeated calls on the
+    same rows give the same bits.
+    """
+    mu = features.mean(axis=0)
+    f = features - mu
+    f_sq = np.einsum("ij,ij->i", f, f)
+    out = np.empty(x.shape[0])
+    rows = max(1, _SUMS_BUDGET_BYTES // (8 * (x.shape[1] + f.shape[0])))
+    for i in range(0, x.shape[0], rows):
+        q = x[i:i + rows] - mu
+        d2 = q @ f.T
+        d2 *= -2.0
+        d2 += np.einsum("ij,ij->i", q, q)[:, None]
+        d2 += f_sq
+        np.maximum(d2, 0.0, out=d2)
+        d2 *= gamma
+        out[i:i + rows] = np.exp(d2, out=d2) @ weights
+    return out
 
 
 def _check_samples(x, y):

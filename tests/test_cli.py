@@ -66,3 +66,60 @@ def test_smo_report_accuracy_equals_saved_model_accuracy(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     model = load_model("model.svm")
     assert report["train_accuracy"] == accuracy(decision_values(model, ds.x), ds.y)
+
+
+@pytest.fixture(scope="module")
+def zscore_model(tmp_path_factory):
+    """A model trained with --scaling zscore on 40-wide data, its sidecar, and that data."""
+    root = tmp_path_factory.mktemp("zscore")
+    ds = mnist_like(200, p=40, seed=2)
+    data = root / "data.csv"
+    np.savetxt(data, np.column_stack([ds.x, ds.y]), delimiter=",", fmt="%.17g")
+    model = root / "model.svm"
+    code = cli.main(["train", "--data", str(data), "--scaling", "zscore",
+                     "--out-model", str(model), "--out-report", str(root / "report.json"),
+                     "--out-trace", str(root / "trace.csv")])
+    assert code == cli.EXIT_OK
+    sidecar = json.loads((root / "model.svm.scaling.json").read_text(encoding="utf-8"))
+    return model.read_bytes(), sidecar, data
+
+
+def _without_offset(record):
+    return json.dumps({k: v for k, v in record.items() if k != "offset"})
+
+
+def _narrow_offset(record):
+    return json.dumps({**record, "offset": record["offset"][:3], "scale": record["scale"][:3]})
+
+
+def _one_wide_offset(record):
+    # broadcasts against any width, so only an explicit width check catches it
+    return json.dumps({**record, "offset": record["offset"][:1], "scale": record["scale"][:1]})
+
+
+def _zero_scale(record):
+    return json.dumps({**record, "scale": [0.0] * len(record["scale"])})
+
+
+@pytest.mark.parametrize("sidecar_text", [
+    _without_offset, _narrow_offset, _one_wide_offset, lambda record: "not json {",
+    _zero_scale,
+], ids=["no-offset", "3-wide", "1-wide", "not-json", "zero-scale"])
+def test_predict_rejects_a_malformed_scaling_sidecar(tmp_path, zscore_model, sidecar_text):
+    blob, record, data = zscore_model
+    (tmp_path / "model.svm").write_bytes(blob)
+    (tmp_path / "model.svm.scaling.json").write_text(sidecar_text(record), encoding="utf-8")
+    out = tmp_path / "pred.csv"
+    code = cli.main(["predict", "--model", str(tmp_path / "model.svm"), "--data", str(data),
+                     "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert not out.exists()
+
+
+def test_predict_applies_a_valid_scaling_sidecar(tmp_path, zscore_model):
+    blob, record, data = zscore_model
+    (tmp_path / "model.svm").write_bytes(blob)
+    (tmp_path / "model.svm.scaling.json").write_text(json.dumps(record), encoding="utf-8")
+    code = cli.main(["predict", "--model", str(tmp_path / "model.svm"), "--data", str(data),
+                     "--out", str(tmp_path / "pred.csv")])
+    assert code == cli.EXIT_OK

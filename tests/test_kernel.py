@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admmsvm import kernel
 from admmsvm.errors import DimensionMismatchError, DuplicateIndexError, IndexOutOfRangeError
@@ -13,6 +14,7 @@ from admmsvm.svm import NonlinearModel, decision_values
 from admmsvm.synthetic import mnist_like
 
 MB = 1_000_000
+EPS = np.finfo(float).eps
 
 
 def toy_set(seed=0, n=4, p=2):
@@ -177,6 +179,109 @@ def test_decision_values_match_per_pair_loop(wide, n_support):
                 + model.bias for q in queries]
     scale = np.abs(model.alpha_weighted).sum() + abs(model.bias)
     assert np.max(np.abs(values - expected)) <= 1e-12 * scale
+
+
+def per_pair_sums(x, features, weights, params):
+    return np.array([math.fsum(w * rbf(f, q, params) for w, f in zip(weights, features))
+                     for q in x])
+
+
+def sums_tolerance(x, features, weights, gamma):
+    """8 eps (1 + |gamma| S) sum|w|, S the largest squared norms about the support centroid."""
+    mu = features.mean(axis=0)
+    s = (np.max(np.sum((x - mu) ** 2, axis=1), initial=0.0)
+         + np.max(np.sum((features - mu) ** 2, axis=1)))
+    return 8 * EPS * (1 + abs(gamma) * s) * np.abs(weights).sum()
+
+
+def support_model(x, n_support, seed):
+    rng = np.random.default_rng(seed)
+    sv = rng.choice(x.shape[0], size=n_support, replace=False)
+    return NonlinearModel(indices=sv, alpha_weighted=rng.standard_normal(n_support),
+                          labels=np.ones(n_support), features=x[sv], bias=0.3,
+                          kernel=KernelParams(-1.0))
+
+
+@pytest.mark.parametrize("p", [64, 784])
+def test_rbf_sums_on_shifted_data_match_per_pair_loop(p):
+    # +100 on every feature makes ||q||^2 about 1e4 p: an expansion that is not
+    # centred first loses about 1e4 p eps to cancellation
+    x = mnist_like(120, p=p, seed=7).x + 100.0
+    features, queries = x[:40], x[20:]
+    weights = np.random.default_rng(p).standard_normal(40)
+    params = KernelParams(-1.0)
+    sums = kernel._rbf_sums(queries, features, weights, params.gamma)
+    expected = per_pair_sums(queries, features, weights, params)
+    assert np.max(np.abs(sums - expected)) <= 1e-12 * np.abs(weights).sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([1, 3, 64, 784]), log_scale=st.floats(-3.0, 2.0),
+       shift=st.floats(-1e3, 1e3), gamma=st.floats(-10.0, -1e-3),
+       n_support=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_rbf_sums_error_is_within_the_stated_bound(p, log_scale, shift, gamma, n_support, seed):
+    rng = np.random.default_rng(seed)
+    features = shift + 10.0 ** log_scale * rng.standard_normal((n_support, p))
+    fresh = shift + 10.0 ** log_scale * rng.standard_normal((5, p))
+    queries = np.vstack([fresh, features[rng.integers(0, n_support, size=3)]])
+    weights = rng.standard_normal(n_support)
+    sums = kernel._rbf_sums(queries, features, weights, gamma)
+    expected = per_pair_sums(queries, features, weights, KernelParams(gamma))
+    assert np.max(np.abs(sums - expected)) <= sums_tolerance(queries, features, weights, gamma)
+
+
+def test_decision_values_of_no_rows_is_empty(wide):
+    model = support_model(wide.x, 13, seed=1)
+    assert decision_values(model, np.empty((0, wide.x.shape[1]))).shape == (0,)
+
+
+def test_decision_values_with_one_support_vector(wide):
+    model = support_model(wide.x, 1, seed=2)
+    queries = np.vstack([wide.x[:20], model.features])
+    values = decision_values(model, queries)
+    expected = per_pair_sums(queries, model.features, model.alpha_weighted, model.kernel)
+    tol = sums_tolerance(queries, model.features, model.alpha_weighted, -1.0)
+    assert np.max(np.abs(values - model.bias - expected)) <= tol
+    assert values[-1] == model.alpha_weighted[0] + model.bias
+
+
+def test_empty_model_rejects_queries_of_another_width():
+    model = NonlinearModel(indices=np.zeros(0, dtype=int), alpha_weighted=np.zeros(0),
+                           labels=np.zeros(0), features=np.zeros((0, 5)), bias=0.5,
+                           kernel=KernelParams(-1.0))
+    np.testing.assert_array_equal(decision_values(model, np.zeros((3, 5))), [0.5] * 3)
+    with pytest.raises(DimensionMismatchError):
+        decision_values(model, np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("chunk", [1, 37])
+def test_decision_values_do_not_depend_on_query_blocks(wide, chunk):
+    model = support_model(wide.x, 64, seed=3)
+    queries = wide.x
+    n, p = queries.shape
+    assert n * 8 * (p + 64) > 2 * kernel._SUMS_BUDGET_BYTES
+    values = decision_values(model, queries)
+    pieces = np.concatenate([decision_values(model, queries[i:i + chunk])
+                             for i in range(0, n, chunk)])
+    tol = sums_tolerance(queries, model.features, model.alpha_weighted, -1.0)
+    assert np.max(np.abs(values - pieces)) <= tol
+
+
+def test_decision_values_of_strided_and_fortran_views_match_a_contiguous_copy(wide):
+    model = support_model(wide.x, 50, seed=4)
+    tol = sums_tolerance(wide.x, model.features, model.alpha_weighted, -1.0)
+    strided = wide.x[::3]
+    fortran = np.asfortranarray(wide.x)
+    assert not strided.flags.c_contiguous and not fortran.flags.c_contiguous
+    for view in (strided, fortran):
+        copy = np.ascontiguousarray(view)
+        assert np.max(np.abs(decision_values(model, view) - decision_values(model, copy))) <= tol
+
+
+def test_decision_values_repeat_bit_for_bit(wide):
+    model = support_model(wide.x, 64, seed=5)
+    first = decision_values(model, wide.x)
+    assert decision_values(model, wide.x).tobytes() == first.tobytes()
 
 
 def traced_peak_bytes(thunk):
