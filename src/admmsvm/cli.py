@@ -139,10 +139,11 @@ def _model_from_smo(result, ds, params, drop_tol=1e-12):
 
 def cmd_train(args):
     ds = _load_dataset(args)
-    ds, scaling = scale_features(ds, args.scaling)
     test = None
     if args.train_fraction is not None:
         ds, test = split(ds, SplitSpec(args.train_fraction, seed=args.seed))
+    # fitted on the training rows alone, so held-out rows stay unseen
+    ds, scaling = scale_features(ds, args.scaling)
 
     n = ds.n
     params = KernelParams(gamma=-abs(args.gamma))
@@ -190,7 +191,7 @@ def cmd_train(args):
 
     test_accuracy = None
     if test is not None:
-        test_accuracy = accuracy(decision_values(model, test.x), test.y)
+        test_accuracy = accuracy(decision_values(model, scaling.apply(test.x)), test.y)
 
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,

@@ -6,20 +6,23 @@ label-weighted matrix has entries y_i * y_j * k(x_i, x_j).
 
 RBF values come from two evaluators with two contracts:
 
-- Entries of Q are exact and bitwise reproducible, through ``_rbf``: kernel
-  columns (the Nystrom subset columns, and the rows of Q that
-  :mod:`admmsvm.smo` fetches one at a time) and the full kernel matrix.
-  It works through blocks of row pairs whose difference tensor fits
-  ``_DIFF_BUDGET_BYTES``, and reduces each pair with the same
-  ``np.sum(diff * diff, axis=-1)`` as the per-pair reference :func:`rbf`.
-  Each entry therefore depends on its pair alone, not on the block it fell
-  in: kernel columns equal the matching columns of the full matrix
-  bitwise, and the full matrix is exactly symmetric.
+- Entries of Q, through ``_sq_dists``: kernel columns (the Nystrom subset
+  columns, and the rows of Q that :mod:`admmsvm.smo` fetches one at a
+  time) and the full kernel matrix. Each entry is
+  exp(gamma * max(0, (s_i + s_j) - 2 <x_i - mu, x_j - mu>)) with mu = X[0]
+  and s_i = ||x_i - mu||^2, over rows centred in blocks of
+  ``_BLOCK_BUDGET_BYTES``. The dot products are einsum's fixed-order loop,
+  not BLAS, so an entry depends on its pair alone, not on the block or
+  the call it fell in. The entries are therefore consistent with each
+  other bit for bit: kernel columns equal the matching columns of the full
+  matrix, the matrix is exactly symmetric with a unit diagonal, and
+  repeated calls give the same bits. Each entry is within
+  4 * eps * (1 + |gamma| * (s_i + s_j)) of the per-pair reference
+  :func:`rbf`, but not bitwise equal to it.
 - Decision sums sum_j w_j k(q, f_j), the decision values of
-  :mod:`admmsvm.svm`, are within a stated error bound, through
-  ``_rbf_sums``: about 4 * eps * (1 + |gamma| * S) * sum_j |w_j|, where
+  :mod:`admmsvm.svm`, through ``_rbf_sums``: one GEMM per query block,
+  within about 4 * eps * (1 + |gamma| * S) * sum_j |w_j|, where
   S = max ||q - mu||^2 + max ||f - mu||^2 and mu is the support centroid.
-  Their kernel values are not bitwise equal to ``_rbf``'s.
 """
 
 from dataclasses import dataclass
@@ -28,8 +31,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DuplicateIndexError, IndexOutOfRangeError
 
-# bytes of one block's pairwise difference tensor, sized to stay in cache
-_DIFF_BUDGET_BYTES = 256 * 1024
+# bytes of one block of centred training rows, and of its entries; sized to stay in cache
+_BLOCK_BUDGET_BYTES = 256 * 1024
 # bytes of one query block's centred rows and its distances to the support
 _SUMS_BUDGET_BYTES = 1024 * 1024
 
@@ -68,28 +71,47 @@ def rbf(xi, xj, params):
     return float(np.exp(params.gamma * np.sum(diff * diff, axis=-1)))
 
 
-def _block_shape(n_cols, p):
-    """Rows and columns of one block whose difference tensor fits the budget.
+def _centre(x, mu, out):
+    """Write x - mu into the leading C-ordered rows of out.
 
-    A block spans whole rows when all ``n_cols`` columns fit; otherwise it
-    is one row's chunk of columns. A block holds at least one pair.
+    Returns those rows and their squared norms. Every dot product over them
+    runs the same fixed-order loop, whichever block a row falls in.
     """
-    pairs = max(1, _DIFF_BUDGET_BYTES // (8 * max(p, 1)))
-    cols = max(1, min(n_cols, pairs))
-    return max(1, pairs // cols), cols
+    xc = np.subtract(x, mu, out=out[:x.shape[0]])
+    return xc, np.einsum("ij,ij->i", xc, xc)
 
 
-def _rbf(a, b, gamma):
-    """The (len(a), len(b)) matrix of exp(gamma * ||a_i - b_j||^2)."""
-    out = np.empty((a.shape[0], b.shape[0]))
-    rows, cols = _block_shape(b.shape[0], a.shape[1])
-    for i in range(0, a.shape[0], rows):
-        for j in range(0, b.shape[0], cols):
-            diff = a[i:i + rows, None, :] - b[None, j:j + cols, :]
-            np.multiply(diff, diff, out=diff)
-            out[i:i + rows, j:j + cols] = np.sum(diff, axis=-1)
-    out *= gamma
-    return np.exp(out, out=out)
+def _blocks(x, mu, width=0, start=0):
+    """Centred blocks of rows start: of x, for entries against ``width`` columns.
+
+    A block's centred rows, and its entries, each fit ``_BLOCK_BUDGET_BYTES``.
+    Yields (first row, rows, squared norms); one buffer serves every block.
+    """
+    n, p = x.shape
+    rows = max(1, _BLOCK_BUDGET_BYTES // (8 * max(p, width, 1)))
+    buf = np.empty((min(rows, n - start), p))
+    for i in range(start, n, rows):
+        yield (i, *_centre(x[i:i + rows], mu, buf))
+
+
+def _sq_dists(a, a_sq, b, b_sq, out):
+    """(a_sq_i + b_sq_j) - 2 <a_i, b_j> into out, for centred rows from ``_centre``.
+
+    The cross term is einsum's fixed-order dot product, not BLAS, so an
+    entry depends on its pair alone and is the same with its arguments
+    swapped.
+    """
+    cross = np.einsum("ik,jk->ij", a, b)
+    cross *= 2.0
+    np.add(a_sq[:, None], b_sq[None, :], out=out)
+    out -= cross
+
+
+def _rbf_in_place(d2, gamma):
+    """exp(gamma * max(0, d2)) in place; the clamp removes rounding's negative distances."""
+    np.maximum(d2, 0.0, out=d2)
+    d2 *= gamma
+    np.exp(d2, out=d2)
 
 
 def _rbf_sums(x, features, weights, gamma):
@@ -138,19 +160,20 @@ def _check_samples(x, y):
 def build_kernel_matrix(X, y, params):
     """Assemble the full label-weighted kernel matrix.
 
-    Only row blocks on and above the diagonal are evaluated; each block's
+    Only blocks on and above the diagonal are evaluated; each row block's
     transpose fills the part below it. The result is exactly symmetric,
-    and its diagonal is exactly 1 since ||x - x|| = 0 and y_i^2 = 1.
+    and its diagonal is exactly 1 since k(x, x) = 1 and y_i^2 = 1.
     """
     x, y = _check_samples(X, y)
     n = x.shape[0]
     psi = np.empty((n, n))
-    rows, _ = _block_shape(n, x.shape[1])
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = _rbf(x[start:stop], x[start:], params.gamma)
-        psi[start:stop, start:] = block
-        psi[stop:, start:stop] = block[:, stop - start:].T
+    mu = x[:1]
+    for start, a, a_sq in _blocks(x, mu):
+        stop = start + a.shape[0]
+        for col, b, b_sq in _blocks(x, mu, a.shape[0], start):
+            _sq_dists(a, a_sq, b, b_sq, psi[start:stop, col:col + b.shape[0]])
+        _rbf_in_place(psi[start:stop, start:], params.gamma)
+        psi[stop:, start:stop] = psi[start:stop, stop:].T
     psi *= y[:, None]
     psi *= y[None, :]
     np.fill_diagonal(psi, 1.0)
@@ -173,7 +196,13 @@ def kernel_columns(X, y, params, M):
         raise IndexOutOfRangeError(f"subset indices must lie in [0, {n})")
     if np.unique(m).shape[0] != m.shape[0]:
         raise DuplicateIndexError("subset indices must be distinct")
-    cols = _rbf(x, x[m], params.gamma)
+    mu = x[:1]
+    b = np.take(x, m, axis=0, out=np.empty((m.shape[0], x.shape[1])))
+    b, b_sq = _centre(b, mu, b)
+    cols = np.empty((n, m.shape[0]))
+    for start, a, a_sq in _blocks(x, mu, m.shape[0]):
+        _sq_dists(a, a_sq, b, b_sq, cols[start:start + a.shape[0]])
+    _rbf_in_place(cols, params.gamma)
     cols *= y[:, None]
     cols *= y[m][None, :]
     # entries on the sampled diagonal are k(x, x) = 1 exactly

@@ -3,6 +3,7 @@
 import numpy as np
 
 from .data_io import Dataset
+from .errors import InvalidCountError
 
 
 def gaussian_blobs(n, p=2, separation=4.0, scale=1.0, seed=0):
@@ -37,8 +38,11 @@ def mnist_like(n, p=64, latent=32, separation=1.5, seed=0):
     decaying factor scales, and class means differ along the leading factor
     direction. Pairwise squared distances are O(1), so the default kernel
     decay rate of -1 is a sensible setting. A small ambient noise floor
-    keeps features from being exactly rank-deficient.
+    keeps features from being exactly rank-deficient. The subspace needs
+    ``p >= latent``.
     """
+    if p < latent:
+        raise InvalidCountError(f"p={p} features cannot hold a latent={latent} subspace")
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((p, latent)))
     scales = 0.35 * 0.88 ** np.arange(latent)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from admmsvm import cli
+from admmsvm.data_io import Dataset, SplitSpec, split
 from admmsvm.svm import accuracy, decision_values, load_model
 from admmsvm.synthetic import mnist_like
 
@@ -123,3 +124,17 @@ def test_predict_applies_a_valid_scaling_sidecar(tmp_path, zscore_model):
     code = cli.main(["predict", "--model", str(tmp_path / "model.svm"), "--data", str(data),
                      "--out", str(tmp_path / "pred.csv")])
     assert code == cli.EXIT_OK
+
+
+def test_zscore_is_fitted_on_the_training_rows_alone(tmp_path, monkeypatch):
+    ds = mnist_like(200, p=40, seed=4)
+    np.savetxt(tmp_path / "data.csv", np.column_stack([ds.x, ds.y]), delimiter=",",
+               fmt="%.17g")
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["train", "--data", "data.csv", "--scaling", "zscore",
+                     "--train-fraction", "0.5"])
+    assert code == cli.EXIT_OK
+    sidecar = json.loads((tmp_path / "model.svm.scaling.json").read_text(encoding="utf-8"))
+    train, _ = split(Dataset(x=ds.x, y=ds.y), SplitSpec(0.5, seed=0))
+    np.testing.assert_array_equal(sidecar["offset"], train.x.mean(axis=0))
+    assert not np.allclose(sidecar["offset"], ds.x.mean(axis=0), rtol=0, atol=1e-6)

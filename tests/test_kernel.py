@@ -72,11 +72,31 @@ def test_identical_samples_opposite_labels():
     np.testing.assert_array_equal(psi.entries, [[1.0, -1.0], [-1.0, 1.0]])
 
 
+def entry_tolerance(x, gamma):
+    """4 eps (1 + |gamma| (||x_i - mu||^2 + ||x_j - mu||^2)) for every pair, mu = x[0]."""
+    sq = np.sum((x - x[0]) ** 2, axis=1)
+    return 4 * EPS * (1 + abs(gamma) * (sq[:, None] + sq[None, :]))
+
+
 def test_matches_brute_force_double_loop():
     x, y = toy_set()
     params = KernelParams(-1.0)
     psi = build_kernel_matrix(x, y, params)
-    np.testing.assert_array_equal(psi.entries, brute_force_psi(x, y, params))
+    assert np.all(np.abs(psi.entries - brute_force_psi(x, y, params)) <= entry_tolerance(x, -1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([1, 3, 7, 64, 65, 784]), log_scale=st.floats(-3.0, 2.0),
+       shift=st.floats(-1e3, 1e3), gamma=st.floats(-10.0, -1e-3),
+       n=st.integers(2, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_entries_are_within_the_stated_bound_of_per_pair_rbf(p, log_scale, shift, gamma, n, seed):
+    rng = np.random.default_rng(seed)
+    x = shift + 10.0 ** log_scale * rng.standard_normal((n, p))
+    x[-1] = x[rng.integers(0, n - 1)]
+    y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
+    psi = build_kernel_matrix(x, y, KernelParams(gamma)).entries
+    err = np.abs(psi - brute_force_psi(x, y, KernelParams(gamma)))
+    assert np.all(err <= entry_tolerance(x, gamma))
 
 
 def test_exactly_symmetric_and_unit_diagonal():
@@ -141,11 +161,10 @@ def wide():
 
 
 def test_wide_instance_spans_several_blocks(wide):
-    # 320 columns need several column chunks per row; 13 columns fit whole
-    # rows in a block, but 320 such rows need several row blocks
+    # a block holds the budget's worth of centred rows, 41 at p = 784, so the
+    # 320 rows of the matrix and of its columns cross several block boundaries
     n, p = wide.x.shape
-    assert n * p * 8 > 4 * kernel._DIFF_BUDGET_BYTES
-    assert 13 * p * 8 < kernel._DIFF_BUDGET_BYTES < n * 13 * p * 8
+    assert n * p * 8 > 4 * kernel._BLOCK_BUDGET_BYTES
 
 
 def test_blocked_matrix_is_symmetric_and_equals_its_columns(wide):
@@ -158,12 +177,42 @@ def test_blocked_matrix_is_symmetric_and_equals_its_columns(wide):
     np.testing.assert_array_equal(kernel_columns(wide.x, wide.y, params, m), psi[:, m])
 
 
-def test_blocked_matrix_entries_equal_per_pair_rbf(wide):
+def test_blocked_matrix_entries_are_within_the_bound_of_per_pair_rbf(wide):
     params = KernelParams(-1.0)
     psi = build_kernel_matrix(wide.x, wide.y, params).entries
+    tol = entry_tolerance(wide.x, -1.0)
     rng = np.random.default_rng(4)
     for i, j in rng.integers(0, wide.n, size=(300, 2)):
-        assert psi[i, j] == wide.y[i] * wide.y[j] * rbf(wide.x[i], wide.x[j], params)
+        expected = wide.y[i] * wide.y[j] * rbf(wide.x[i], wide.x[j], params)
+        assert abs(psi[i, j] - expected) <= tol[i, j]
+
+
+def test_strided_and_fortran_samples_give_the_bits_of_a_contiguous_copy(wide):
+    params = KernelParams(-1.0)
+    m = np.random.default_rng(5).choice(wide.n // 3, size=13, replace=False)
+    for view in (np.asfortranarray(wide.x), wide.x[::3]):
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        y = wide.y[:view.shape[0]]
+        assert (build_kernel_matrix(view, y, params).entries.tobytes()
+                == build_kernel_matrix(copy, y, params).entries.tobytes())
+        assert (kernel_columns(view, y, params, m).tobytes()
+                == kernel_columns(copy, y, params, m).tobytes())
+
+
+@pytest.mark.parametrize("p", [1, 3, 65, 784])
+def test_column_sets_agree_with_the_matrix_across_block_boundaries(monkeypatch, p):
+    x, y = toy_set(seed=p, n=40, p=p)
+    x += 100.0
+    params = KernelParams(-0.5 / p)
+    psi = build_kernel_matrix(x, y, params).entries
+    m = np.random.default_rng(p).choice(40, size=13, replace=False)
+    # a budget of 7 p doubles leaves a few rows a block at most, so column sets
+    # and matrix blocks cross many block boundaries
+    monkeypatch.setattr(kernel, "_BLOCK_BUDGET_BYTES", 7 * 8 * p)
+    np.testing.assert_array_equal(build_kernel_matrix(x, y, params).entries, psi)
+    for cols in ([17], m, np.arange(40)):
+        np.testing.assert_array_equal(kernel_columns(x, y, params, cols), psi[:, cols])
 
 
 @pytest.mark.parametrize("n_support", [13, 50])
