@@ -1,16 +1,18 @@
-"""Linear SVM training by ADMM, with two equivalent solver paths.
+"""Linear SVM training by ADMM around the pre-computed matrix Z.
 
-The reference path iterates the textbook update (solve the regularized
-normal-equation system, then soft-threshold the hinge auxiliary, then the
-multiplier step), reusing a pre-computed inverse of the fixed system
-matrix. The efficient path restates the same iteration around the
-pre-computed matrix Z = Y X_tilde Q D^(-1/2), where Q D Q^T is the
-symmetric eigendecomposition of the system matrix, a scaled auxiliary
-a_hat and the shared intermediate theta, so each pass is two thin
-matrix-vector products plus element-wise work. Both paths produce
-identical multiplier iterates; their auxiliaries are related by
-a_hat = rho * a. One shared loop runs either path and applies the one
-stop test both share.
+The textbook iteration solves the regularized normal equations for
+beta_tilde = (beta, beta0), soft-thresholds the hinge auxiliary a, then
+steps the multiplier u. Here it is restated around
+Z = Y X_tilde Q D^(-1/2), where Q D Q^T is the symmetric eigendecomposition
+of the fixed system matrix, with the scaled auxiliary a_hat = rho * a and
+the shared intermediate theta, so each pass is two thin matrix-vector
+products plus element-wise work. The multiplier iterates are the textbook
+ones, and beta_tilde = Q D^(-1/2) S is formed only for the stop test.
+
+The product Z S that each pass forms is also the vector of margins
+y_i * (x_tilde_i . beta_tilde) of the current iterate, so the decision
+value of training row i is y_i times its margin, and the training accuracy
+of every iterate costs O(N).
 """
 
 import time
@@ -27,9 +29,6 @@ from .errors import (
 
 DIVERGENCE_LIMIT = 1e12
 
-PATH_EFFICIENT = "efficient"
-PATH_REFERENCE = "reference"
-
 
 @dataclass(frozen=True)
 class AdmmConfig:
@@ -39,15 +38,12 @@ class AdmmConfig:
     rho: float = 1.0
     epsilon: float = 1e-6
     max_iters: int = 500
-    path: str = PATH_EFFICIENT
 
     def __post_init__(self):
         if self.lambda_ <= 0 or self.rho <= 0 or self.epsilon <= 0:
             raise ValueError("lambda_, rho and epsilon must all be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.path not in (PATH_EFFICIENT, PATH_REFERENCE):
-            raise ValueError(f"unknown solver path {self.path!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +80,12 @@ class AugmentedDesign:
 
 @dataclass(frozen=True, eq=False)
 class AdmmState:
-    """Per-iteration solver variables (scaled auxiliary, multiplier, S = Z^T B)."""
+    """Per-iteration solver variables: scaled auxiliary, multiplier, S = Z^T B, margins Z S."""
 
     a_hat: np.ndarray
     u: np.ndarray
     s: np.ndarray | None = None
+    margins: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -125,13 +122,14 @@ class ConvergenceTrace:
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Trained hyperplane weights with the solver's convergence history."""
+    """Trained hyperplane weights, their training accuracy and the convergence history."""
 
     beta: np.ndarray
     beta0: float
     trace: ConvergenceTrace
     converged: bool
     iterations: int
+    train_accuracy: float
 
 
 def soft_threshold(theta, delta):
@@ -170,7 +168,9 @@ def precompute_z(design, evd, trunc):
     """Fold labels, design and the inverted system matrix into Z = Y X~ Q D^(-1/2).
 
     Z Z^T then equals Y X~ A^(-1) X~^T Y, the constant matrix the iteration
-    applies each pass, but only N x (p+1) numbers are stored.
+    applies each pass, but only N x (p+1) numbers are stored. The rows of
+    X~ Q D^(-1/2) are sign-flipped by y in place, which is exact, so no
+    second N x (p+1) array is formed.
     """
     width = design.x_tilde.shape[1]
     if trunc.rank_kept < width:
@@ -178,7 +178,9 @@ def precompute_z(design, evd, trunc):
             "system matrix is numerically singular; increase lambda or rho"
         )
     scaled_q = evd.q[:, :width] * trunc.inv_sqrt[None, :]
-    return (design.y[:, None] * design.x_tilde) @ scaled_q
+    z = design.x_tilde @ scaled_q
+    z *= design.y[:, None]
+    return z
 
 
 def initialize_state(n):
@@ -189,18 +191,21 @@ def initialize_state(n):
 
 
 def admm_step(z, state, rho):
-    """Advance one iteration of the efficient path.
+    """Advance one iteration.
 
-    In order: B = u + rho*1 - a_hat; S = Z^T B; theta = rho*1 + u - rho*Z*S;
-    new a_hat = soft-threshold of theta at 1; new u = theta - a_hat.
+    In order: B = u + rho*1 - a_hat; S = Z^T B; margins = Z S;
+    theta = rho*1 + u - rho*margins; new a_hat = soft-threshold of theta
+    at 1; new u = theta - a_hat. The margins are y_i * (x_tilde_i . beta_tilde)
+    at the iterate beta_tilde = Q D^(-1/2) S and are kept on the state.
     """
     b_vec = state.u + rho - state.a_hat
     s = z.T @ b_vec
-    theta = rho + state.u - rho * (z @ s)
+    margins = z @ s
+    theta = rho + state.u - rho * margins
     a_hat = soft_threshold(theta, 1.0)
     u = theta - a_hat
     _check_diverged(u)
-    return AdmmState(a_hat=a_hat, u=u, s=s)
+    return AdmmState(a_hat=a_hat, u=u, s=s, margins=margins)
 
 
 def _check_diverged(u):
@@ -221,40 +226,53 @@ def _check_two_classes(y):
         raise SingleClassError("training data contains a single class")
 
 
-def solve_linear(design, cfg, accuracy_fn=None):
-    """Train a linear SVM with the configured ADMM path.
+def accuracy(values, y):
+    """Fraction of labels matched by the sign of the decision values; ties go to +1."""
+    return float(np.mean(np.where(values >= 0.0, 1.0, -1.0) == y))
 
-    Both paths stop on the same test: the squared change of
-    beta_tilde = (beta, beta0) between consecutive iterations is at most
-    epsilon. ``accuracy_fn(beta, beta0)``, when given, is evaluated once per
-    iteration (outside the timed solver work) and recorded in the trace.
-    Returns the model flagged ``converged=False`` when the iteration cap
-    is reached before the stop test passes.
+
+def solve_linear(design, cfg, track_accuracy=False):
+    """Train a linear SVM by ADMM on ``design``.
+
+    Set-up builds the system matrix, its eigendecomposition and Z once;
+    each pass is one :func:`admm_step`. The loop stops when the squared
+    change of beta_tilde = (beta, beta0) between consecutive iterations is
+    at most epsilon. The training accuracy of an iterate is that of the
+    decision values y * margins; with ``track_accuracy`` it is recorded in
+    every trace row (outside the timed solver work), and the returned
+    model always carries it for the final iterate. Returns the model
+    flagged ``converged=False`` when the iteration cap is reached before
+    the stop test passes.
     """
     if design.n < 2:
         raise ValueError("need at least two training samples")
     _check_two_classes(design.y)
+    y = design.y
     setup_start = time.perf_counter()
-    stepper = _efficient_stepper if cfg.path == PATH_EFFICIENT else _reference_stepper
-    step = stepper(design, cfg)
+    a = build_system_matrix(design, cfg.lambda_, cfg.rho)
+    evd = symmetric_evd(a)
+    trunc = truncate_spectrum(evd, r=a.n, eig_tol=0.0)
+    z = precompute_z(design, evd, trunc)
+    recover = evd.q[:, : trunc.rank_kept] * trunc.inv_sqrt[None, :]
+    state = initialize_state(design.n)
     setup_ms = (time.perf_counter() - setup_start) * 1e3
 
     trace = ConvergenceTrace()
-    u_prev = np.zeros(design.n)
     beta_tilde_prev = np.zeros(design.p + 1)
     converged = False
     for k in range(1, cfg.max_iters + 1):
         tic = time.perf_counter()
-        u, beta_tilde = step()
-        u_res = float(np.linalg.norm(u - u_prev))
+        u_prev = state.u
+        state = admm_step(z, state, cfg.rho)
+        beta_tilde = recover @ state.s
+        u_res = float(np.linalg.norm(state.u - u_prev))
         beta_res, converged = _beta_stop_test(beta_tilde, beta_tilde_prev, cfg.epsilon)
         elapsed_ms = (time.perf_counter() - tic) * 1e3
         if k == 1:
             elapsed_ms += setup_ms
 
-        acc = accuracy_fn(beta_tilde[:-1], beta_tilde[-1]) if accuracy_fn else None
+        acc = accuracy(y * state.margins, y) if track_accuracy else None
         trace.append(TraceRow(k, u_res, beta_res, acc, elapsed_ms))
-        u_prev = u
         beta_tilde_prev = beta_tilde
         if converged:
             break
@@ -265,6 +283,7 @@ def solve_linear(design, cfg, accuracy_fn=None):
         trace=trace,
         converged=converged,
         iterations=k,
+        train_accuracy=accuracy(y * state.margins, y),
     )
 
 
@@ -272,43 +291,3 @@ def _beta_stop_test(beta_tilde, beta_tilde_prev, epsilon):
     """Squared step ||beta_tilde - beta_tilde_prev||_2^2 and whether it is <= epsilon."""
     residual = float(np.sum((beta_tilde - beta_tilde_prev) ** 2))
     return residual, residual <= epsilon
-
-
-def _efficient_stepper(design, cfg):
-    """Set up the efficient path; the returned step yields (u, beta_tilde)."""
-    a = build_system_matrix(design, cfg.lambda_, cfg.rho)
-    evd = symmetric_evd(a)
-    trunc = truncate_spectrum(evd, r=a.n, eig_tol=0.0)
-    z = precompute_z(design, evd, trunc)
-    recover = evd.q[:, : trunc.rank_kept] * trunc.inv_sqrt[None, :]
-    state = initialize_state(design.n)
-
-    def step():
-        nonlocal state
-        state = admm_step(z, state, cfg.rho)
-        return state.u, recover @ state.s
-
-    return step
-
-
-def _reference_stepper(design, cfg):
-    """Set up the reference path; the returned step yields (u, beta_tilde)."""
-    a = build_system_matrix(design, cfg.lambda_, cfg.rho)
-    a_inv = np.linalg.inv(a.entries)
-    xt = design.x_tilde
-    y = design.y
-    rho = cfg.rho
-    inv_rho = 1.0 / rho
-    aux = np.zeros(design.n)
-    u = np.zeros(design.n)
-
-    def step():
-        nonlocal aux, u
-        beta_tilde = a_inv @ (xt.T @ (y * (u - rho * (aux - 1.0))))
-        margin = y * (xt @ beta_tilde)
-        aux = soft_threshold(1.0 + u * inv_rho - margin, inv_rho)
-        u = u + rho * (1.0 - margin - aux)
-        _check_diverged(u)
-        return u, beta_tilde
-
-    return step

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import synthetic
-from .admm import AdmmConfig, AugmentedDesign, solve_linear
+from .admm import AdmmConfig, AugmentedDesign, accuracy, solve_linear
 from .data_io import (
     SCALE_MINMAX,
     SCALE_NONE,
@@ -42,19 +42,12 @@ from .errors import (
     NonFiniteError,
     NotBinaryError,
     ParseError,
+    SingleClassError,
 )
 from .kernel import KernelParams, build_kernel_matrix
 from .nystrom import NystromConfig, approximation_mse, nystrom_factor
 from .smo import SmoConfig, smo_train
-from .svm import (
-    NonlinearModel,
-    accuracy,
-    decision_values,
-    in_sample_accuracy,
-    save_model,
-    load_model,
-    train_nonlinear,
-)
+from .svm import NonlinearModel, decision_values, load_model, save_model, train_nonlinear
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -64,6 +57,7 @@ EXIT_NOT_CONVERGED = 4
 
 DATA_DIR_ENV = "ADMMSVM_DATA_DIR"
 REPORT_SCHEMA_VERSION = 2
+SOLVERS = ("efficient", "smo")
 TRACE_COLUMNS = ["iteration", "u_residual", "beta_residual", "train_accuracy", "elapsed_ms"]
 
 _DATA_ERRORS = (
@@ -74,6 +68,7 @@ _DATA_ERRORS = (
     MalformedModelFileError,
     DimensionMismatchError,
     InsufficientClassSamplesError,
+    SingleClassError,
     FileNotFoundError,
     IsADirectoryError,
 )
@@ -170,7 +165,7 @@ def cmd_train(args):
                     "max_iters": args.max_iters, "c": c, "r": r}
         nys = NystromConfig(c=c, r=r, seed=args.seed)
         admm_cfg = AdmmConfig(lambda_=args.lambda_, rho=args.rho, epsilon=args.epsilon,
-                              max_iters=args.max_iters, path=args.path)
+                              max_iters=args.max_iters)
         report = train_nonlinear(
             ds.x, ds.y, params, nys, admm_cfg,
             compute_mse=args.compute_mse, track_accuracy=True,
@@ -287,18 +282,16 @@ def cmd_approx_study(args):
     return EXIT_OK
 
 
-def _bench_cell_admm(ds, params, args, path):
+def _bench_cell_admm(ds, params, args):
     tic = time.perf_counter()
     r = min(args.rank, ds.n)
     factor = nystrom_factor(ds.x, ds.y, params, NystromConfig(c=r, r=r, seed=args.seed))
     design = AugmentedDesign.from_features(ds.y[:, None] * factor.v, ds.y)
     setup_ms = (time.perf_counter() - tic) * 1e3
 
-    cfg = AdmmConfig(
-        lambda_=args.lambda_, rho=args.rho, epsilon=args.epsilon,
-        max_iters=args.max_iters, path=path,
-    )
-    model = solve_linear(design, cfg, accuracy_fn=in_sample_accuracy(factor.v, ds.y))
+    cfg = AdmmConfig(lambda_=args.lambda_, rho=args.rho, epsilon=args.epsilon,
+                     max_iters=args.max_iters)
+    model = solve_linear(design, cfg, track_accuracy=True)
     reach_ms = model.trace.time_to_accuracy_ms(args.target_accuracy)
     time_ms = setup_ms + reach_ms if reach_ms is not None else None
     iters = _iterations_to_target(model.trace, args.target_accuracy)
@@ -333,7 +326,7 @@ def cmd_bench_convergence(args):
                 if solver == "smo":
                     time_ms, iters, final_acc = _bench_cell_smo(ds, params, args)
                 else:
-                    time_ms, iters, final_acc = _bench_cell_admm(ds, params, args, solver)
+                    time_ms, iters, final_acc = _bench_cell_admm(ds, params, args)
             except NonFiniteError as exc:
                 print(f"warning: cell ({solver}, N={n}, seed={seed}) diverged: {exc}",
                       file=sys.stderr)
@@ -363,6 +356,15 @@ def cmd_bench_convergence(args):
 
 def _int_list(text):
     return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _solver_list(text):
+    solvers = text.split(",")
+    unknown = [name for name in solvers if name not in SOLVERS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown solver {unknown[0]!r}; choose from {', '.join(SOLVERS)}")
+    return solvers
 
 
 def _add_data_flags(parser):
@@ -399,8 +401,8 @@ def build_parser():
     p_train = sub.add_parser("train", help="train a model and write model/report/trace files")
     _add_data_flags(p_train)
     _add_solver_flags(p_train)
-    p_train.add_argument("--path", choices=["efficient", "reference", "smo"],
-                         default="efficient")
+    p_train.add_argument("--path", choices=SOLVERS, default="efficient",
+                         help="efficient: Nystrom factor and ADMM; smo: exact-kernel SMO baseline")
     p_train.add_argument("--rank", type=int, default=None, help="target rank r (default min(64, N))")
     p_train.add_argument("--subset-size", type=int, default=None,
                          help="sampled columns c (default: equal to r)")
@@ -440,8 +442,8 @@ def build_parser():
                              help="compare time-to-accuracy across solvers and sample counts")
     _add_solver_flags(p_bench)
     p_bench.add_argument("--sizes", type=_int_list, default=[512, 1024, 2048])
-    p_bench.add_argument("--solvers", type=lambda s: s.split(","),
-                         default=["efficient", "smo"])
+    p_bench.add_argument("--solvers", type=_solver_list, default=list(SOLVERS),
+                         help="comma-separated subset of: " + ", ".join(SOLVERS))
     p_bench.add_argument("--seeds", type=_int_list, default=[0])
     p_bench.add_argument("--rank", type=int, default=64)
     p_bench.add_argument("--target-accuracy", type=float, default=0.95)

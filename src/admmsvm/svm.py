@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import AugmentedDesign, ConvergenceTrace, solve_linear
+from .admm import accuracy  # noqa: F401  (re-exported as svm.accuracy)
 from .errors import DimensionMismatchError, MalformedModelFileError
 from .kernel import KernelParams, _rbf_sums, build_kernel_matrix
 from .nystrom import approximation_mse, nystrom_factor
@@ -66,14 +67,18 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
     Steps: Nystrom factor V; linear ADMM solve on the design Y V; recovery
     of the dual weights on the sampled subset as Q_r D_r^(-1/2) w; support
     entries below ``SUPPORT_DROP_TOL`` in magnitude are dropped.
+
+    Row i of the design is y_i v_i and Psi[:, M] alpha_M = V eta, so the
+    decision value at training sample i is y_i (V eta)_i + bias, which is
+    y_i times the solver's margin. The reported training accuracy is the
+    solver's, from those margins; ``track_accuracy`` also records it at
+    every iteration of the trace.
     """
     x = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     factor = nystrom_factor(x, y, kernel, nys, subset=subset)
     design = AugmentedDesign.from_features(y[:, None] * factor.v, y)
-
-    accuracy_fn = in_sample_accuracy(factor.v, y)
-    linear = solve_linear(design, admm, accuracy_fn=accuracy_fn if track_accuracy else None)
+    linear = solve_linear(design, admm, track_accuracy=track_accuracy)
 
     alpha_subset = factor.q_r @ (linear.beta / np.sqrt(factor.d_r))
     keep = np.abs(alpha_subset) > SUPPORT_DROP_TOL
@@ -88,36 +93,17 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
         kernel=kernel,
     )
 
-    train_accuracy = accuracy_fn(linear.beta, linear.beta0)
     mse = None
     if compute_mse:
         mse = approximation_mse(build_kernel_matrix(x, y, kernel), factor)
     return TrainReport(
         model=model,
         trace=linear.trace,
-        train_accuracy=train_accuracy,
+        train_accuracy=linear.train_accuracy,
         converged=linear.converged,
         effective_rank=factor.effective_rank,
         nystrom_mse=mse,
     )
-
-
-def in_sample_accuracy(v, y):
-    """Training accuracy of a linear iterate (eta, bias) solved on the design Y V.
-
-    Row i of the design is y_i v_i, and Psi[:, M] alpha_M = V eta, so the
-    decision value at training sample i is y_i (V eta)_i + bias. Returns
-    ``accuracy_fn(eta, bias)`` for :func:`admmsvm.admm.solve_linear`.
-    """
-    def accuracy_fn(eta, bias):
-        return accuracy(y * (v @ eta) + bias, y)
-
-    return accuracy_fn
-
-
-def accuracy(values, y):
-    """Fraction of labels matched by the sign of the decision values; ties go to +1."""
-    return float(np.mean(np.where(values >= 0.0, 1.0, -1.0) == y))
 
 
 def decision_values(model, X):

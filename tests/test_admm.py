@@ -1,9 +1,12 @@
-"""ADMM linear solver: the efficient and reference paths and their stop test."""
+"""ADMM linear solver: the step against the textbook update, the stop test and the error paths."""
 
 import numpy as np
 import pytest
 
-from admmsvm.admm import AdmmConfig, AugmentedDesign, solve_linear
+from admmsvm import admm
+from admmsvm.admm import AdmmConfig, AugmentedDesign, build_system_matrix, solve_linear
+from admmsvm.eigen import symmetric_evd, truncate_spectrum
+from admmsvm.errors import NonFiniteError, SingleClassError
 from admmsvm.kernel import KernelParams
 from admmsvm.nystrom import NystromConfig, nystrom_factor
 from admmsvm.synthetic import gaussian_blobs, mnist_like
@@ -24,23 +27,57 @@ def column(model, name):
     return np.array([getattr(row, name) for row in model.trace.rows])
 
 
+def textbook_iterates(design, cfg):
+    """The textbook ADMM update with a cached inverse of the system matrix.
+
+    Each pass solves for beta_tilde, soft-thresholds the hinge auxiliary a
+    at 1/rho, then steps the multiplier u; yields (u, a, beta_tilde).
+    """
+    a_inv = np.linalg.inv(build_system_matrix(design, cfg.lambda_, cfg.rho).entries)
+    xt, y, rho = design.x_tilde, design.y, cfg.rho
+    aux = np.zeros(design.n)
+    u = np.zeros(design.n)
+    while True:
+        beta_tilde = a_inv @ (xt.T @ (y * (u - rho * (aux - 1.0))))
+        margin = y * (xt @ beta_tilde)
+        aux = admm.soft_threshold(1.0 + u / rho - margin, 1.0 / rho)
+        u = u + rho * (1.0 - margin - aux)
+        yield u, aux, beta_tilde
+
+
 @pytest.mark.parametrize("make_design", [lambda: nystrom_design(512), blobs_design],
                          ids=["nystrom_512", "blobs_200"])
-def test_paths_agree_at_every_iteration(make_design):
+def test_every_step_matches_the_textbook_update(make_design, monkeypatch):
     design = make_design()
-    eff = solve_linear(design, AdmmConfig(path="efficient"))
-    ref = solve_linear(design, AdmmConfig(path="reference"))
-    assert eff.converged and ref.converged
-    assert eff.iterations == ref.iterations == len(eff.trace) == len(ref.trace)
-    for name in ("u_residual", "beta_residual"):
-        np.testing.assert_allclose(column(eff, name), column(ref, name), rtol=1e-9, atol=0.0)
-    np.testing.assert_allclose(eff.beta, ref.beta, rtol=1e-9, atol=1e-12)
-    assert eff.beta0 == pytest.approx(ref.beta0, rel=1e-9, abs=1e-12)
+    cfg = AdmmConfig()
+    states = []
+    step = admm.admm_step
+
+    def recording_step(z, state, rho):
+        states.append(step(z, state, rho))
+        return states[-1]
+
+    monkeypatch.setattr(admm, "admm_step", recording_step)
+    model = solve_linear(design, cfg)
+    assert model.converged
+    assert len(states) == model.iterations == len(model.trace)
+
+    evd = symmetric_evd(build_system_matrix(design, cfg.lambda_, cfg.rho))
+    trunc = truncate_spectrum(evd, r=evd.q.shape[0], eig_tol=0.0)
+    recover = evd.q[:, :trunc.rank_kept] * trunc.inv_sqrt[None, :]
+    for state, (u, aux, beta_tilde) in zip(states, textbook_iterates(design, cfg)):
+        tol = 1e-9 * (1.0 + np.abs(u).max())
+        np.testing.assert_allclose(state.u, u, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(state.a_hat, cfg.rho * aux, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(recover @ state.s, beta_tilde, rtol=1e-9, atol=1e-12)
+        margins = design.y * (design.x_tilde @ beta_tilde)
+        np.testing.assert_allclose(state.margins, margins, rtol=0.0,
+                                   atol=1e-9 * (1.0 + np.abs(margins).max()))
+    np.testing.assert_array_equal(model.beta, (recover @ states[-1].s)[:-1])
 
 
-@pytest.mark.parametrize("path", ["efficient", "reference"])
-def test_stops_at_first_small_beta_step(path):
-    cfg = AdmmConfig(path=path)
+def test_stops_at_first_small_beta_step():
+    cfg = AdmmConfig()
     model = solve_linear(nystrom_design(512), cfg)
     steps = column(model, "beta_residual")
     assert model.converged
@@ -48,8 +85,52 @@ def test_stops_at_first_small_beta_step(path):
     assert np.all(steps[:-1] > cfg.epsilon)
 
 
-@pytest.mark.parametrize("path", ["efficient", "reference"])
-def test_iteration_cap_reports_not_converged(path):
-    model = solve_linear(nystrom_design(512), AdmmConfig(max_iters=5, path=path))
+def test_iteration_cap_reports_not_converged():
+    model = solve_linear(nystrom_design(512), AdmmConfig(max_iters=5))
     assert not model.converged
     assert model.iterations == len(model.trace) == 5
+
+
+def test_traced_accuracy_scores_each_iterate():
+    design = blobs_design()
+    model = solve_linear(design, AdmmConfig(), track_accuracy=True)
+    accuracies = column(model, "train_accuracy")
+    assert accuracies[-1] == model.train_accuracy
+    values = design.x_tilde @ np.append(model.beta, model.beta0)
+    assert model.train_accuracy == admm.accuracy(values, design.y)
+    assert set(column(solve_linear(design, AdmmConfig()), "train_accuracy")) == {None}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda_", 0.0), ("lambda_", -1.0), ("rho", 0.0), ("rho", -1.0),
+    ("epsilon", 0.0), ("epsilon", -1e-6), ("max_iters", 0),
+])
+def test_config_rejects_out_of_range_settings(field, value):
+    with pytest.raises(ValueError):
+        AdmmConfig(**{field: value})
+
+
+def test_solve_rejects_a_single_class():
+    design = AugmentedDesign.from_features(np.arange(10.0)[:, None], np.ones(10))
+    with pytest.raises(SingleClassError):
+        solve_linear(design, AdmmConfig())
+
+
+def test_solve_rejects_fewer_than_two_samples():
+    design = AugmentedDesign.from_features(np.zeros((1, 3)), np.ones(1))
+    with pytest.raises(ValueError):
+        solve_linear(design, AdmmConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_design_rejects_non_finite_features(bad):
+    x = np.zeros((4, 2))
+    x[2, 1] = bad
+    with pytest.raises(NonFiniteError):
+        AugmentedDesign.from_features(x, np.array([1.0, -1.0, 1.0, -1.0]))
+
+
+@pytest.mark.parametrize("labels", [[1.0, 0.0, 1.0, -1.0], [2.0, -1.0, 1.0, -1.0]])
+def test_design_rejects_labels_other_than_plus_minus_one(labels):
+    with pytest.raises(ValueError):
+        AugmentedDesign.from_features(np.zeros((4, 2)), np.array(labels))

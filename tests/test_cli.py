@@ -15,14 +15,54 @@ from admmsvm.synthetic import mnist_like
 def test_bench_convergence_cells_reach_target(tmp_path):
     out = tmp_path / "bench.csv"
     code = cli.main(["bench-convergence", "--sizes", "512",
-                     "--solvers", "efficient,reference,smo", "--out", str(out)])
+                     "--solvers", "efficient,smo", "--out", str(out)])
     assert code == cli.EXIT_OK
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    assert [row["solver"] for row in rows] == ["efficient", "reference", "smo"]
+    assert [row["solver"] for row in rows] == ["efficient", "smo"]
     for row in rows:
         assert row["reached_target"] == "True"
         assert float(row["final_accuracy"]) >= 0.95
+
+
+@pytest.mark.parametrize("solvers", ["reference", "efficient,reference", "smo,admm", ""])
+def test_bench_convergence_rejects_unknown_solvers_before_running(tmp_path, solvers):
+    out = tmp_path / "bench.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench-convergence", "--sizes", "512", "--solvers", solvers,
+                  "--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def _write_data(directory, x, y):
+    np.savetxt(directory / "data.csv", np.column_stack([x, y]), delimiter=",", fmt="%.17g")
+
+
+def test_train_rejects_the_removed_reference_path(tmp_path, monkeypatch):
+    ds = mnist_like(64)
+    _write_data(tmp_path, ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--data", "data.csv", "--path", "reference"])
+    assert exc.value.code == cli.EXIT_USAGE
+
+
+def test_train_rejects_a_zero_rho(tmp_path, monkeypatch):
+    ds = mnist_like(64)
+    _write_data(tmp_path, ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--data", "data.csv", "--rho", "0"]) == cli.EXIT_USAGE
+    assert not (tmp_path / "model.svm").exists()
+
+
+@pytest.mark.parametrize("path", cli.SOLVERS)
+def test_single_class_training_data_is_a_data_error(tmp_path, monkeypatch, path):
+    rng = np.random.default_rng(0)
+    _write_data(tmp_path, rng.standard_normal((50, 4)), np.ones(50))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--data", "data.csv", "--path", path]) == cli.EXIT_DATA
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_train_with_default_flags_converges(tmp_path, monkeypatch):
