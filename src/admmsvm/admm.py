@@ -1,18 +1,20 @@
 """Linear SVM training by ADMM around the pre-computed matrix Z.
 
-The textbook iteration solves the regularized normal equations for
+The solver takes the signed rows w_i = y_i x_i and the labels y. Since
+y_i^2 = 1, W_tilde = [w, y] is the label-weighted design Y [x, 1] of the
+textbook iteration, which solves the regularized normal equations for
 beta_tilde = (beta, beta0), soft-thresholds the hinge auxiliary a, then
-steps the multiplier u. Here it is restated around
-Z = Y X_tilde Q D^(-1/2), where Q D Q^T is the symmetric eigendecomposition
-of the fixed system matrix, with the scaled auxiliary a_hat = rho * a and
-the shared intermediate theta, so each pass is two thin matrix-vector
-products plus element-wise work. The multiplier iterates are the textbook
-ones, and beta_tilde = Q D^(-1/2) S is formed only for the stop test.
+steps the multiplier u. Here it is restated around Z = W_tilde Q D^(-1/2),
+where Q D Q^T is the symmetric eigendecomposition of the fixed system
+matrix, with the scaled auxiliary a_hat = rho * a and the shared
+intermediate theta, so each pass is two thin matrix-vector products plus
+element-wise work. The multiplier iterates are the textbook ones, and
+beta_tilde = Q D^(-1/2) S is formed only for the stop test.
 
-The product Z S that each pass forms is also the vector of margins
-y_i * (x_tilde_i . beta_tilde) of the current iterate, so the decision
-value of training row i is y_i times its margin, and the training accuracy
-of every iterate costs O(N).
+The product Z S that each pass forms is still the vector of margins
+w_tilde_i . beta_tilde = y_i * (x_i . beta + beta0) of the current
+iterate, so the decision value of training row i is y_i times its margin,
+and the training accuracy of every iterate costs O(N).
 """
 
 import time
@@ -44,38 +46,6 @@ class AdmmConfig:
             raise ValueError("lambda_, rho and epsilon must all be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-
-
-@dataclass(frozen=True, eq=False)
-class AugmentedDesign:
-    """Feature matrix with an appended ones column, plus the +-1 labels."""
-
-    x_tilde: np.ndarray
-    y: np.ndarray
-
-    @classmethod
-    def from_features(cls, X, y):
-        x = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 2 or y.shape != (x.shape[0],):
-            raise ValueError(f"X shape {x.shape} incompatible with labels shape {y.shape}")
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError("features contain NaN or Inf")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
-        x_tilde = np.hstack([x, np.ones((x.shape[0], 1))])
-        x_tilde.flags.writeable = False
-        y = y.copy()
-        y.flags.writeable = False
-        return cls(x_tilde=x_tilde, y=y)
-
-    @property
-    def n(self):
-        return self.x_tilde.shape[0]
-
-    @property
-    def p(self):
-        return self.x_tilde.shape[1] - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,47 +117,44 @@ def soft_threshold(theta, delta):
     return out
 
 
-def build_system_matrix(design, lambda_, rho):
+def build_system_matrix(w, y, lambda_, rho):
     """Assemble the fixed (p+1)x(p+1) system matrix of the beta update.
 
-    Top-left block lambda*I + rho*X^T X, border rho*X^T 1, corner rho*N.
-    The ridge term applies to the p feature rows only, never the bias row.
+    The matrix is lambda*diag(1, ..., 1, 0) + rho*W_tilde^T W_tilde with
+    W_tilde = [w, y]: top-left block lambda*I + rho*w^T w, border
+    rho*w^T y, corner rho*N. The ridge term applies to the p feature rows
+    only, never the bias row.
     """
-    x = design.x_tilde[:, :-1]
-    p = x.shape[1]
+    p = w.shape[1]
     a = np.empty((p + 1, p + 1))
-    a[:p, :p] = lambda_ * np.eye(p) + rho * (x.T @ x)
-    border = rho * x.sum(axis=0)
+    a[:p, :p] = lambda_ * np.eye(p) + rho * (w.T @ w)
+    border = rho * (w.T @ y)
     a[:p, p] = border
     a[p, :p] = border
-    a[p, p] = rho * design.n
+    a[p, p] = rho * w.shape[0]
     return SymmetricMatrix.from_array(a)
 
 
-def precompute_z(design, evd, trunc):
-    """Fold labels, design and the inverted system matrix into Z = Y X~ Q D^(-1/2).
+def precompute_z(w, y, evd, trunc):
+    """Fold the signed rows and the inverted system matrix into Z = W_tilde Q D^(-1/2).
 
-    Z Z^T then equals Y X~ A^(-1) X~^T Y, the constant matrix the iteration
-    applies each pass, but only N x (p+1) numbers are stored. The rows of
-    X~ Q D^(-1/2) are sign-flipped by y in place, which is exact, so no
-    second N x (p+1) array is formed.
+    Z Z^T then equals W_tilde A^(-1) W_tilde^T, the constant matrix the
+    iteration applies each pass, but only N x (p+1) numbers are stored.
+    Z is w times the first p rows of Q D^(-1/2), plus its last row on the
+    rows where y = +1 and minus it where y = -1; both are done in place,
+    so Z is the only N x (p+1) array formed.
     """
-    width = design.x_tilde.shape[1]
+    width = w.shape[1] + 1
     if trunc.rank_kept < width:
         raise RankDeficientError(
             "system matrix is numerically singular; increase lambda or rho"
         )
     scaled_q = evd.q[:, :width] * trunc.inv_sqrt[None, :]
-    z = design.x_tilde @ scaled_q
-    z *= design.y[:, None]
+    z = w @ scaled_q[:-1]
+    positive = (y > 0)[:, None]
+    np.add(z, scaled_q[-1], out=z, where=positive)
+    np.subtract(z, scaled_q[-1], out=z, where=~positive)
     return z
-
-
-def initialize_state(n):
-    """Cold start: zero scaled auxiliary and zero multiplier."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return AdmmState(a_hat=np.zeros(n), u=np.zeros(n))
 
 
 def admm_step(z, state, rho):
@@ -195,7 +162,7 @@ def admm_step(z, state, rho):
 
     In order: B = u + rho*1 - a_hat; S = Z^T B; margins = Z S;
     theta = rho*1 + u - rho*margins; new a_hat = soft-threshold of theta
-    at 1; new u = theta - a_hat. The margins are y_i * (x_tilde_i . beta_tilde)
+    at 1; new u = theta - a_hat. The margins are w_tilde_i . beta_tilde
     at the iterate beta_tilde = Q D^(-1/2) S and are kept on the state.
     """
     b_vec = state.u + rho - state.a_hat
@@ -231,34 +198,44 @@ def accuracy(values, y):
     return float(np.mean(np.where(values >= 0.0, 1.0, -1.0) == y))
 
 
-def solve_linear(design, cfg, track_accuracy=False):
-    """Train a linear SVM by ADMM on ``design``.
+def solve_linear(w, y, cfg, track_accuracy=False):
+    """Train a linear SVM by ADMM on the signed rows ``w`` and labels ``y``.
 
+    Row i of ``w`` is y_i x_i; the returned (beta, beta0) is the
+    hyperplane in x.
     Set-up builds the system matrix, its eigendecomposition and Z once;
     each pass is one :func:`admm_step`. The loop stops when the squared
     change of beta_tilde = (beta, beta0) between consecutive iterations is
     at most epsilon. The training accuracy of an iterate is that of the
-    decision values y * margins; with ``track_accuracy`` it is recorded in
-    every trace row (outside the timed solver work), and the returned
-    model always carries it for the final iterate. Returns the model
-    flagged ``converged=False`` when the iteration cap is reached before
-    the stop test passes.
+    decision values y * margins, where margins = Z S; with
+    ``track_accuracy`` it is recorded in every trace row (outside the
+    timed solver work), and the returned model always carries it for the
+    final iterate. Returns the model flagged ``converged=False`` when the
+    iteration cap is reached before the stop test passes.
     """
-    if design.n < 2:
+    w = np.asarray(w, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if w.ndim != 2 or y.shape != (w.shape[0],):
+        raise ValueError(f"rows shape {w.shape} incompatible with labels shape {y.shape}")
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteError("features contain NaN or Inf")
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
+    n, p = w.shape
+    if n < 2:
         raise ValueError("need at least two training samples")
-    _check_two_classes(design.y)
-    y = design.y
+    _check_two_classes(y)
     setup_start = time.perf_counter()
-    a = build_system_matrix(design, cfg.lambda_, cfg.rho)
+    a = build_system_matrix(w, y, cfg.lambda_, cfg.rho)
     evd = symmetric_evd(a)
     trunc = truncate_spectrum(evd, r=a.n, eig_tol=0.0)
-    z = precompute_z(design, evd, trunc)
+    z = precompute_z(w, y, evd, trunc)
     recover = evd.q[:, : trunc.rank_kept] * trunc.inv_sqrt[None, :]
-    state = initialize_state(design.n)
+    state = AdmmState(a_hat=np.zeros(n), u=np.zeros(n))
     setup_ms = (time.perf_counter() - setup_start) * 1e3
 
     trace = ConvergenceTrace()
-    beta_tilde_prev = np.zeros(design.p + 1)
+    beta_tilde_prev = np.zeros(p + 1)
     converged = False
     for k in range(1, cfg.max_iters + 1):
         tic = time.perf_counter()

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import synthetic
-from .admm import AdmmConfig, AugmentedDesign, accuracy, solve_linear
+from .admm import AdmmConfig, accuracy, solve_linear
 from .data_io import (
     SCALE_MINMAX,
     SCALE_NONE,
@@ -286,12 +286,11 @@ def _bench_cell_admm(ds, params, args):
     tic = time.perf_counter()
     r = min(args.rank, ds.n)
     factor = nystrom_factor(ds.x, ds.y, params, NystromConfig(c=r, r=r, seed=args.seed))
-    design = AugmentedDesign.from_features(ds.y[:, None] * factor.v, ds.y)
     setup_ms = (time.perf_counter() - tic) * 1e3
 
     cfg = AdmmConfig(lambda_=args.lambda_, rho=args.rho, epsilon=args.epsilon,
                      max_iters=args.max_iters)
-    model = solve_linear(design, cfg, track_accuracy=True)
+    model = solve_linear(factor.v, ds.y, cfg, track_accuracy=True)
     reach_ms = model.trace.time_to_accuracy_ms(args.target_accuracy)
     time_ms = setup_ms + reach_ms if reach_ms is not None else None
     iters = _iterations_to_target(model.trace, args.target_accuracy)

@@ -194,7 +194,8 @@ def kernel_columns(X, y, params, M):
         raise ValueError("M must be a non-empty 1-D index list")
     if np.any(m < 0) or np.any(m >= n):
         raise IndexOutOfRangeError(f"subset indices must lie in [0, {n})")
-    if np.unique(m).shape[0] != m.shape[0]:
+    ordered = np.sort(m)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise DuplicateIndexError("subset indices must be distinct")
     mu = x[:1]
     b = np.take(x, m, axis=0, out=np.empty((m.shape[0], x.shape[1])))

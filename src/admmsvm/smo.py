@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import ConvergenceTrace, TraceRow
+from .admm import ConvergenceTrace, TraceRow, accuracy
 from .errors import SingleClassError
 from .kernel import _check_samples, kernel_columns
-from .svm import accuracy
 
 TAU = 1e-12  # replaces a non-positive curvature a_ij, as in LIBSVM
 

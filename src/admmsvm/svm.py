@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AugmentedDesign, ConvergenceTrace, solve_linear
+from .admm import ConvergenceTrace, solve_linear
 from .admm import accuracy  # noqa: F401  (re-exported as svm.accuracy)
 from .errors import DimensionMismatchError, MalformedModelFileError
 from .kernel import KernelParams, _rbf_sums, build_kernel_matrix
@@ -64,21 +64,21 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
                     track_accuracy=False):
     """Train a nonlinear SVM through the low-rank linear reformulation.
 
-    Steps: Nystrom factor V; linear ADMM solve on the design Y V; recovery
-    of the dual weights on the sampled subset as Q_r D_r^(-1/2) w; support
-    entries below ``SUPPORT_DROP_TOL`` in magnitude are dropped.
+    Steps: Nystrom factor V; linear ADMM solve on the design Y V, whose
+    signed rows y_i (y_i v_i) are V itself, so V is passed with no copy;
+    recovery of the dual weights on the sampled subset as
+    Q_r D_r^(-1/2) beta; support entries below ``SUPPORT_DROP_TOL`` in
+    magnitude are dropped.
 
-    Row i of the design is y_i v_i and Psi[:, M] alpha_M = V eta, so the
-    decision value at training sample i is y_i (V eta)_i + bias, which is
-    y_i times the solver's margin. The reported training accuracy is the
-    solver's, from those margins; ``track_accuracy`` also records it at
-    every iteration of the trace.
+    Psi[:, M] alpha_M = V eta, so the decision value at training sample i
+    is y_i (V eta)_i + bias, which is y_i times the solver's margin. The
+    reported training accuracy is the solver's, from those margins;
+    ``track_accuracy`` also records it at every iteration of the trace.
     """
     x = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     factor = nystrom_factor(x, y, kernel, nys, subset=subset)
-    design = AugmentedDesign.from_features(y[:, None] * factor.v, y)
-    linear = solve_linear(design, admm, track_accuracy=track_accuracy)
+    linear = solve_linear(factor.v, y, admm, track_accuracy=track_accuracy)
 
     alpha_subset = factor.q_r @ (linear.beta / np.sqrt(factor.d_r))
     keep = np.abs(alpha_subset) > SUPPORT_DROP_TOL

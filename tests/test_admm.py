@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from admmsvm import admm
-from admmsvm.admm import AdmmConfig, AugmentedDesign, build_system_matrix, solve_linear
+from admmsvm.admm import AdmmConfig, build_system_matrix, solve_linear
 from admmsvm.eigen import symmetric_evd, truncate_spectrum
 from admmsvm.errors import NonFiniteError, SingleClassError
 from admmsvm.kernel import KernelParams
@@ -13,30 +13,41 @@ from admmsvm.synthetic import gaussian_blobs, mnist_like
 
 
 def nystrom_design(n):
+    """Signed rows w = V and labels y, as nonlinear training passes them."""
     ds = mnist_like(n)
     factor = nystrom_factor(ds.x, ds.y, KernelParams(gamma=-1.0), NystromConfig(c=64, r=64))
-    return AugmentedDesign.from_features(ds.y[:, None] * factor.v, ds.y)
+    return factor.v, ds.y
 
 
 def blobs_design():
+    """Signed rows w_i = y_i x_i of a linear problem, and labels y."""
     ds = gaussian_blobs(200, p=5, separation=2.0)
-    return AugmentedDesign.from_features(ds.x, ds.y)
+    return ds.y[:, None] * ds.x, ds.y
 
 
 def column(model, name):
     return np.array([getattr(row, name) for row in model.trace.rows])
 
 
-def textbook_iterates(design, cfg):
+def augmented(w, y):
+    """The textbook design xt = [x, 1], with x_i = y_i w_i."""
+    return np.hstack([y[:, None] * w, np.ones((w.shape[0], 1))])
+
+
+def textbook_iterates(w, y, cfg):
     """The textbook ADMM update with a cached inverse of the system matrix.
 
-    Each pass solves for beta_tilde, soft-thresholds the hinge auxiliary a
-    at 1/rho, then steps the multiplier u; yields (u, a, beta_tilde).
+    The system matrix lambda*diag(1, ..., 1, 0) + rho*xt^T xt is built
+    here from xt, not by the solver's code. Each pass solves
+    for beta_tilde, soft-thresholds the hinge auxiliary a at 1/rho, then
+    steps the multiplier u; yields (u, a, beta_tilde).
     """
-    a_inv = np.linalg.inv(build_system_matrix(design, cfg.lambda_, cfg.rho).entries)
-    xt, y, rho = design.x_tilde, design.y, cfg.rho
-    aux = np.zeros(design.n)
-    u = np.zeros(design.n)
+    xt, rho = augmented(w, y), cfg.rho
+    ridge = np.full(xt.shape[1], cfg.lambda_)
+    ridge[-1] = 0.0
+    a_inv = np.linalg.inv(np.diag(ridge) + rho * (xt.T @ xt))
+    aux = np.zeros(xt.shape[0])
+    u = np.zeros(xt.shape[0])
     while True:
         beta_tilde = a_inv @ (xt.T @ (y * (u - rho * (aux - 1.0))))
         margin = y * (xt @ beta_tilde)
@@ -48,7 +59,7 @@ def textbook_iterates(design, cfg):
 @pytest.mark.parametrize("make_design", [lambda: nystrom_design(512), blobs_design],
                          ids=["nystrom_512", "blobs_200"])
 def test_every_step_matches_the_textbook_update(make_design, monkeypatch):
-    design = make_design()
+    w, y = make_design()
     cfg = AdmmConfig()
     states = []
     step = admm.admm_step
@@ -58,19 +69,19 @@ def test_every_step_matches_the_textbook_update(make_design, monkeypatch):
         return states[-1]
 
     monkeypatch.setattr(admm, "admm_step", recording_step)
-    model = solve_linear(design, cfg)
+    model = solve_linear(w, y, cfg)
     assert model.converged
     assert len(states) == model.iterations == len(model.trace)
 
-    evd = symmetric_evd(build_system_matrix(design, cfg.lambda_, cfg.rho))
+    evd = symmetric_evd(build_system_matrix(w, y, cfg.lambda_, cfg.rho))
     trunc = truncate_spectrum(evd, r=evd.q.shape[0], eig_tol=0.0)
     recover = evd.q[:, :trunc.rank_kept] * trunc.inv_sqrt[None, :]
-    for state, (u, aux, beta_tilde) in zip(states, textbook_iterates(design, cfg)):
+    for state, (u, aux, beta_tilde) in zip(states, textbook_iterates(w, y, cfg)):
         tol = 1e-9 * (1.0 + np.abs(u).max())
         np.testing.assert_allclose(state.u, u, rtol=0.0, atol=tol)
         np.testing.assert_allclose(state.a_hat, cfg.rho * aux, rtol=0.0, atol=tol)
         np.testing.assert_allclose(recover @ state.s, beta_tilde, rtol=1e-9, atol=1e-12)
-        margins = design.y * (design.x_tilde @ beta_tilde)
+        margins = y * (augmented(w, y) @ beta_tilde)
         np.testing.assert_allclose(state.margins, margins, rtol=0.0,
                                    atol=1e-9 * (1.0 + np.abs(margins).max()))
     np.testing.assert_array_equal(model.beta, (recover @ states[-1].s)[:-1])
@@ -78,7 +89,7 @@ def test_every_step_matches_the_textbook_update(make_design, monkeypatch):
 
 def test_stops_at_first_small_beta_step():
     cfg = AdmmConfig()
-    model = solve_linear(nystrom_design(512), cfg)
+    model = solve_linear(*nystrom_design(512), cfg)
     steps = column(model, "beta_residual")
     assert model.converged
     assert steps[-1] <= cfg.epsilon
@@ -86,19 +97,19 @@ def test_stops_at_first_small_beta_step():
 
 
 def test_iteration_cap_reports_not_converged():
-    model = solve_linear(nystrom_design(512), AdmmConfig(max_iters=5))
+    model = solve_linear(*nystrom_design(512), AdmmConfig(max_iters=5))
     assert not model.converged
     assert model.iterations == len(model.trace) == 5
 
 
 def test_traced_accuracy_scores_each_iterate():
-    design = blobs_design()
-    model = solve_linear(design, AdmmConfig(), track_accuracy=True)
+    w, y = blobs_design()
+    model = solve_linear(w, y, AdmmConfig(), track_accuracy=True)
     accuracies = column(model, "train_accuracy")
     assert accuracies[-1] == model.train_accuracy
-    values = design.x_tilde @ np.append(model.beta, model.beta0)
-    assert model.train_accuracy == admm.accuracy(values, design.y)
-    assert set(column(solve_linear(design, AdmmConfig()), "train_accuracy")) == {None}
+    values = augmented(w, y) @ np.append(model.beta, model.beta0)
+    assert model.train_accuracy == admm.accuracy(values, y)
+    assert set(column(solve_linear(w, y, AdmmConfig()), "train_accuracy")) == {None}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -111,15 +122,13 @@ def test_config_rejects_out_of_range_settings(field, value):
 
 
 def test_solve_rejects_a_single_class():
-    design = AugmentedDesign.from_features(np.arange(10.0)[:, None], np.ones(10))
     with pytest.raises(SingleClassError):
-        solve_linear(design, AdmmConfig())
+        solve_linear(np.arange(10.0)[:, None], np.ones(10), AdmmConfig())
 
 
 def test_solve_rejects_fewer_than_two_samples():
-    design = AugmentedDesign.from_features(np.zeros((1, 3)), np.ones(1))
     with pytest.raises(ValueError):
-        solve_linear(design, AdmmConfig())
+        solve_linear(np.zeros((1, 3)), np.ones(1), AdmmConfig())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -127,10 +136,15 @@ def test_design_rejects_non_finite_features(bad):
     x = np.zeros((4, 2))
     x[2, 1] = bad
     with pytest.raises(NonFiniteError):
-        AugmentedDesign.from_features(x, np.array([1.0, -1.0, 1.0, -1.0]))
+        solve_linear(x, np.array([1.0, -1.0, 1.0, -1.0]), AdmmConfig())
 
 
 @pytest.mark.parametrize("labels", [[1.0, 0.0, 1.0, -1.0], [2.0, -1.0, 1.0, -1.0]])
 def test_design_rejects_labels_other_than_plus_minus_one(labels):
     with pytest.raises(ValueError):
-        AugmentedDesign.from_features(np.zeros((4, 2)), np.array(labels))
+        solve_linear(np.zeros((4, 2)), np.array(labels), AdmmConfig())
+
+
+def test_design_rejects_rows_and_labels_of_different_lengths():
+    with pytest.raises(ValueError):
+        solve_linear(np.zeros((4, 2)), np.array([1.0, -1.0, 1.0]), AdmmConfig())

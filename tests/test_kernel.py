@@ -146,6 +146,8 @@ def test_column_index_validation():
         kernel_columns(x, y, KernelParams(-1.0), [0, 4])
     with pytest.raises(DuplicateIndexError):
         kernel_columns(x, y, KernelParams(-1.0), [1, 1])
+    with pytest.raises(DuplicateIndexError):
+        kernel_columns(x, y, KernelParams(-1.0), [1, 0, 1])
 
 
 def test_bad_labels_rejected():
