@@ -6,9 +6,9 @@ label-weighted matrix has entries y_i * y_j * k(x_i, x_j).
 
 RBF values come from two evaluators with two contracts:
 
-- Entries of Q, through ``_sq_dists``: kernel columns (the Nystrom subset
-  columns, and the rows of Q that :mod:`admmsvm.smo` fetches one at a
-  time) and the full kernel matrix. Each entry is
+- Entries of Q, through ``_sq_dists``: the full kernel matrix (and with it
+  the Nystrom landmark block Psi_MM) and kernel columns (the rows of Q that
+  :mod:`admmsvm.smo` fetches one at a time). Each entry is
   exp(gamma * max(0, (s_i + s_j) - 2 <x_i - mu, x_j - mu>)) with mu = X[0]
   and s_i = ||x_i - mu||^2, over rows centred in blocks of
   ``_BLOCK_BUDGET_BYTES``. The dot products are einsum's fixed-order loop,
@@ -19,10 +19,13 @@ RBF values come from two evaluators with two contracts:
   repeated calls give the same bits. Each entry is within
   4 * eps * (1 + |gamma| * (s_i + s_j)) of the per-pair reference
   :func:`rbf`, but not bitwise equal to it.
-- Decision sums sum_j w_j k(q, f_j), the decision values of
-  :mod:`admmsvm.svm`, through ``_rbf_sums``: one GEMM per query block,
-  within about 4 * eps * (1 + |gamma| * S) * sum_j |w_j|, where
-  S = max ||q - mu||^2 + max ||f - mu||^2 and mu is the support centroid.
+- Weighted sums sum_j w_j k(q, f_j), through ``_rbf_sums``: the decision
+  values of :mod:`admmsvm.svm` (one weight vector) and the Nystrom factor
+  V of :mod:`admmsvm.nystrom` (one weight column per rank). One GEMM per
+  query block gives the distances; each sum is within about
+  4 * eps * (1 + |gamma| * S) * sum_j |w_j|, where
+  S = max ||q - mu||^2 + max ||f - mu||^2 and mu is the centroid of the
+  rows f_j.
 """
 
 from dataclasses import dataclass
@@ -33,8 +36,10 @@ from .errors import DimensionMismatchError, DuplicateIndexError, IndexOutOfRange
 
 # bytes of one block of centred training rows, and of its entries; sized to stay in cache
 _BLOCK_BUDGET_BYTES = 256 * 1024
-# bytes of one query block's centred rows and its distances to the support
-_SUMS_BUDGET_BYTES = 1024 * 1024
+# bytes of one query block's centred rows and its distances to the feature rows;
+# training forms V through these blocks, and at p=784 a larger block than this
+# raises training's peak memory above that of the ADMM solve
+_SUMS_BUDGET_BYTES = 384 * 1024
 
 
 @dataclass(frozen=True)
@@ -115,31 +120,37 @@ def _rbf_in_place(d2, gamma):
 
 
 def _rbf_sums(x, features, weights, gamma):
-    """sum_j weights_j * exp(gamma * ||x_i - features_j||^2) for every row x_i of x.
+    """sum_j weights[j] * exp(gamma * ||x_i - features_j||^2) for every row x_i of x.
 
-    Each block of query rows, sized by ``_SUMS_BUDGET_BYTES``, takes one
-    matrix product: ||q - f||^2 = ||q||^2 + ||f||^2 - 2 q.f. Centring both
-    sides on mu = mean(features) leaves every distance unchanged and keeps
-    the expansion's three terms small, so they cancel with little loss. The
+    ``weights`` has shape (c,) or (c, r) for c feature rows; the result has
+    shape (N,) or (N, r), one column per column of weights. Each block of
+    query rows, sized by ``_SUMS_BUDGET_BYTES``, takes one matrix product:
+    ||q - f||^2 = ||q||^2 + ||f||^2 - 2 q.f. Centring both sides on
+    mu = mean(features) leaves every distance unchanged and keeps the
+    expansion's three terms small, so they cancel with little loss. The
     clamp at 0 removes the negative distances that rounding can leave
-    between a query and a support vector equal to it. Query blocks have a
-    fixed row count for a given (p, support size), so repeated calls on the
-    same rows give the same bits.
+    between a query and a feature row equal to it. One buffer of centred
+    query rows and one of distances serve every block, and each block's
+    sums are written into the result in place. Query blocks have a fixed
+    row count for a given (p, c), so repeated calls on the same rows give
+    the same bits.
     """
     mu = features.mean(axis=0)
     f = features - mu
     f_sq = np.einsum("ij,ij->i", f, f)
-    out = np.empty(x.shape[0])
-    rows = max(1, _SUMS_BUDGET_BYTES // (8 * (x.shape[1] + f.shape[0])))
-    for i in range(0, x.shape[0], rows):
-        q = x[i:i + rows] - mu
-        d2 = q @ f.T
-        d2 *= -2.0
+    f *= -2.0  # exact, so q @ f.T is -2 q.f to the bit
+    n, p = x.shape
+    out = np.empty((n, *weights.shape[1:]))
+    rows = max(1, _SUMS_BUDGET_BYTES // (8 * (p + f.shape[0])))
+    q_buf = np.empty((min(rows, n), p))
+    d2_buf = np.empty((min(rows, n), f.shape[0]))
+    for i in range(0, n, rows):
+        q = np.subtract(x[i:i + rows], mu, out=q_buf[:min(rows, n - i)])
+        d2 = np.matmul(q, f.T, out=d2_buf[:q.shape[0]])
         d2 += np.einsum("ij,ij->i", q, q)[:, None]
         d2 += f_sq
-        np.maximum(d2, 0.0, out=d2)
-        d2 *= gamma
-        out[i:i + rows] = np.exp(d2, out=d2) @ weights
+        _rbf_in_place(d2, gamma)
+        np.matmul(d2, weights, out=out[i:i + rows])
     return out
 
 
@@ -155,6 +166,19 @@ def _check_samples(x, y):
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
     return x, y
+
+
+def _check_subset(m, n):
+    """m as a non-empty 1-D array of distinct indices into n samples."""
+    m = np.asarray(m, dtype=int)
+    if m.ndim != 1 or m.shape[0] == 0:
+        raise ValueError("M must be a non-empty 1-D index list")
+    if np.any(m < 0) or np.any(m >= n):
+        raise IndexOutOfRangeError(f"subset indices must lie in [0, {n})")
+    ordered = np.sort(m)
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise DuplicateIndexError("subset indices must be distinct")
+    return m
 
 
 def build_kernel_matrix(X, y, params):
@@ -189,14 +213,7 @@ def kernel_columns(X, y, params, M):
     """
     x, y = _check_samples(X, y)
     n = x.shape[0]
-    m = np.asarray(M, dtype=int)
-    if m.ndim != 1 or m.shape[0] == 0:
-        raise ValueError("M must be a non-empty 1-D index list")
-    if np.any(m < 0) or np.any(m >= n):
-        raise IndexOutOfRangeError(f"subset indices must lie in [0, {n})")
-    ordered = np.sort(m)
-    if np.any(ordered[1:] == ordered[:-1]):
-        raise DuplicateIndexError("subset indices must be distinct")
+    m = _check_subset(M, n)
     mu = x[:1]
     b = np.take(x, m, axis=0, out=np.empty((m.shape[0], x.shape[1])))
     b, b_sq = _centre(b, mu, b)

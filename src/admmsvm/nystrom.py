@@ -1,10 +1,13 @@
 """Nystrom low-rank factorization of the label-weighted kernel matrix.
 
-Produces a factor V with Psi ~= V V^T from c sampled columns and a rank-r
-spectral truncation of the sampled block, keeping the spectral pieces
-(Q_r, d_r) needed later to recover sparse dual weights. The sampled block
-is diagonalized by :func:`admmsvm.eigen.symmetric_evd`, so a LAPACK failure
-surfaces as :class:`~admmsvm.errors.NoConvergenceError`.
+Produces a factor V with Psi ~= V V^T from c sampled landmarks and a
+rank-r spectral truncation of the sampled block Psi_MM, keeping the
+spectral pieces (Q_r, d_r) needed later to recover sparse dual weights.
+The sampled block is diagonalized by :func:`admmsvm.eigen.symmetric_evd`,
+so a LAPACK failure surfaces as :class:`~admmsvm.errors.NoConvergenceError`.
+V = Psi[:, M] Q_r D_r^(-1/2) is formed as weighted RBF sums against the
+landmarks, one weight column per retained rank, without storing the N-by-c
+kernel columns Psi[:, M].
 """
 
 import warnings
@@ -14,7 +17,7 @@ import numpy as np
 
 from .eigen import DEFAULT_EIG_TOL, SymmetricMatrix, symmetric_evd, truncate_spectrum
 from .errors import DimensionMismatchError, InvalidCountError
-from .kernel import kernel_columns
+from .kernel import _check_samples, _check_subset, _rbf_sums, build_kernel_matrix
 
 _MSE_BLOCK_BYTES = 1 << 20  # one row block of the residual
 
@@ -66,10 +69,15 @@ def nystrom_factor(X, y, params, cfg, subset=None):
     """Build the Nystrom factor for the label-weighted kernel matrix.
 
     Samples a subset M of size c (or uses the caller-provided ``subset``),
-    eigendecomposes the sampled block, truncates its spectrum to rank r,
-    and forms v = Psi[:, M] @ Q_r @ diag(d_r)^(-1/2).
+    eigendecomposes the sampled block Psi_MM, truncates its spectrum to
+    rank r, and forms v = Psi[:, M] @ Q_r @ diag(d_r)^(-1/2) as the
+    weighted RBF sums y * (K(X, X_M) @ W) with W = y_M * Q_r diag(d_r)^(-1/2),
+    so the N-by-c columns Psi[:, M] are never stored. Each entry of v is
+    within the sums bound of :mod:`admmsvm.kernel` taken with the column
+    sums of |W|, which grow as d_r^(-1/2): the amplification that the
+    product with the stored columns had.
     """
-    x = np.asarray(X, dtype=float)
+    x, y = _check_samples(X, y)
     n = x.shape[0]
     cfg.validate_against(n)
     if subset is None:
@@ -78,9 +86,10 @@ def nystrom_factor(X, y, params, cfg, subset=None):
         m = np.sort(np.asarray(subset, dtype=int))
         if m.shape[0] != cfg.c:
             raise InvalidCountError(f"explicit subset has {m.shape[0]} indices, cfg.c={cfg.c}")
+        m = _check_subset(m, n)
 
-    psi_cols = kernel_columns(x, y, params, m)
-    psi_mm = SymmetricMatrix.from_array(psi_cols[m, :])
+    x_m, y_m = x[m], y[m]
+    psi_mm = SymmetricMatrix.from_array(build_kernel_matrix(x_m, y_m, params).entries)
     evd = symmetric_evd(psi_mm)
     trunc = truncate_spectrum(evd, cfg.r, cfg.eig_tol)
     if trunc.rank_kept < cfg.r:
@@ -94,7 +103,10 @@ def nystrom_factor(X, y, params, cfg, subset=None):
     k = trunc.rank_kept
     q_r = evd.q[:, :k]
     d_r = evd.d[:k]
-    v = psi_cols @ (q_r * trunc.inv_sqrt[None, :])
+    w = q_r * trunc.inv_sqrt[None, :]
+    w *= y_m[:, None]
+    v = _rbf_sums(x, x_m, w, params.gamma)
+    v *= y[:, None]
     for arr in (v, m, q_r, d_r):
         arr.flags.writeable = False
     return NystromFactor(v=v, m=m, q_r=q_r, d_r=d_r, effective_rank=int(k))

@@ -266,6 +266,17 @@ def test_rbf_sums_on_shifted_data_match_per_pair_loop(p):
     assert np.max(np.abs(sums - expected)) <= 1e-12 * np.abs(weights).sum()
 
 
+def test_rbf_sums_of_weight_columns_match_one_column_calls():
+    x = mnist_like(256, p=784, seed=2).x
+    features = x[::8]
+    weights = np.random.default_rng(9).standard_normal((features.shape[0], 32))
+    sums = kernel._rbf_sums(x, features, weights, -1.0)
+    assert sums.shape == (256, 32)
+    for k in range(weights.shape[1]):
+        column = kernel._rbf_sums(x, features, weights[:, k], -1.0)
+        assert np.max(np.abs(sums[:, k] - column)) <= sums_tolerance(x, features, weights[:, k], -1.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(p=st.sampled_from([1, 3, 64, 784]), log_scale=st.floats(-3.0, 2.0),
        shift=st.floats(-1e3, 1e3), gamma=st.floats(-10.0, -1e-3),

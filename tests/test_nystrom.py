@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from admmsvm.errors import DimensionMismatchError, InvalidCountError
+from admmsvm.admm import AdmmConfig
+from admmsvm.errors import (
+    DimensionMismatchError,
+    DuplicateIndexError,
+    IndexOutOfRangeError,
+    InvalidCountError,
+)
 from admmsvm.kernel import KernelParams, build_kernel_matrix
 from admmsvm.nystrom import (
     NystromConfig,
@@ -12,8 +18,11 @@ from admmsvm.nystrom import (
     nystrom_factor,
     sample_subset,
 )
+from admmsvm.svm import train_nonlinear
+from admmsvm.synthetic import mnist_like
 
 PARAMS = KernelParams(-1.0)
+EPS = np.finfo(float).eps
 
 
 def make_data(n, p=3, seed=0):
@@ -187,3 +196,61 @@ def test_explicit_subset_override():
     subset = np.array([1, 4, 7, 9])
     factor = nystrom_factor(x, y, PARAMS, NystromConfig(c=4, r=4, seed=0), subset=subset)
     np.testing.assert_array_equal(factor.m, subset)
+
+
+def factor_through_nystrom(x, y, subset):
+    return nystrom_factor(x, y, PARAMS, NystromConfig(c=3, r=3), subset=subset)
+
+
+def factor_through_training(x, y, subset):
+    return train_nonlinear(x, y, PARAMS, NystromConfig(c=3, r=3), AdmmConfig(), subset=subset)
+
+
+@pytest.mark.parametrize("entry", [factor_through_nystrom, factor_through_training])
+@pytest.mark.parametrize("subset, labels, error", [
+    ([-1, 0, 2], None, IndexOutOfRangeError),
+    ([0, 2, 12], None, IndexOutOfRangeError),
+    ([1, 1, 3], None, DuplicateIndexError),
+    ([1, 4, 7], [1.0, 0.0] * 6, ValueError),
+    ([1, 4, 7], [1.0, -1.0] * 5, DimensionMismatchError),
+])
+def test_explicit_subset_errors_are_typed(entry, subset, labels, error):
+    x, y = make_data(12, seed=13)
+    if labels is not None:
+        y = np.array(labels)
+    with pytest.raises(error):
+        entry(x, y, subset)
+
+
+@pytest.fixture(scope="module")
+def wide_factor():
+    ds = mnist_like(256, p=784, seed=3)
+    return ds.x, ds.y, nystrom_factor(ds.x, ds.y, PARAMS, NystromConfig(c=32, r=32, seed=5))
+
+
+def brute_force_columns(x, y, m, gamma):
+    """y_i y_m exp(gamma ||x_i - x_m||^2) by broadcasting, one landmark at a time."""
+    cols = np.empty((x.shape[0], m.shape[0]))
+    for j, landmark in enumerate(m):
+        cols[:, j] = np.exp(gamma * np.sum((x - x[landmark]) ** 2, axis=1))
+    return cols * y[:, None] * y[m][None, :]
+
+
+def test_wide_factor_matches_brute_force_product(wide_factor):
+    x, y, factor = wide_factor
+    w = factor.q_r / np.sqrt(factor.d_r)[None, :]
+    expected = brute_force_columns(x, y, factor.m, PARAMS.gamma) @ w
+    # the sums bound of admmsvm.kernel, with the column sums of |W| as sum |w|
+    x_m = x[factor.m]
+    mu = x_m.mean(axis=0)
+    s = np.max(np.sum((x - mu) ** 2, axis=1)) + np.max(np.sum((x_m - mu) ** 2, axis=1))
+    bound = 8 * EPS * (1 + abs(PARAMS.gamma) * s) * np.abs(w).sum(axis=0)
+    assert np.all(np.max(np.abs(factor.v - expected), axis=0) <= bound)
+
+
+def test_wide_factor_reproduces_sampled_block(wide_factor):
+    x, y, factor = wide_factor
+    psi_mm = brute_force_columns(x, y, factor.m, PARAMS.gamma)[factor.m]
+    dropped = np.abs(np.linalg.eigvalsh(psi_mm)[::-1][factor.effective_rank:]).sum()
+    v_m = factor.v[factor.m]
+    assert np.max(np.abs(v_m @ v_m.T - psi_mm)) <= 1e-8 + dropped

@@ -50,9 +50,10 @@ def test_training_with_mse_holds_one_kernel_matrix():
     assert report.nystrom_mse == pytest.approx(dense, rel=1e-12)
 
 
-def test_training_holds_few_design_sized_arrays():
+@pytest.mark.parametrize("p", [64, 784])
+def test_training_holds_few_design_sized_arrays(p):
     n, r = 2048, 64
-    ds = mnist_like(n)
+    ds = mnist_like(n, p=p)
     kernel, nys = KernelParams(gamma=-1.0), NystromConfig(c=r, r=r)
     tracemalloc.start()
     try:
