@@ -22,14 +22,8 @@ from .data_io import (
     scale_features,
     split,
 )
-from .eigen import (
-    EvdResult,
-    SpectralTruncation,
-    SymmetricMatrix,
-    symmetric_evd,
-    truncate_spectrum,
-)
-from .kernel import KernelParams, KernelMatrix, build_kernel_matrix, kernel_columns, rbf
+from .eigen import symmetric_evd, truncate_spectrum
+from .kernel import KernelParams, build_kernel_matrix, kernel_columns, rbf
 from .nystrom import (
     NystromConfig,
     NystromFactor,
@@ -41,9 +35,7 @@ from .smo import SmoConfig, SmoResult, smo_train
 from .svm import (
     NonlinearModel,
     TrainReport,
-    alpha_vector,
     decision_values,
-    kernel_objective,
     load_model,
     save_model,
     train_nonlinear,
@@ -55,8 +47,6 @@ __all__ = [
     "AdmmState",
     "ConvergenceTrace",
     "Dataset",
-    "EvdResult",
-    "KernelMatrix",
     "KernelParams",
     "LinearModel",
     "NonlinearModel",
@@ -65,20 +55,16 @@ __all__ = [
     "ScalingRecord",
     "SmoConfig",
     "SmoResult",
-    "SpectralTruncation",
     "SplitSpec",
-    "SymmetricMatrix",
     "TraceRow",
     "TrainReport",
     "admm_step",
-    "alpha_vector",
     "approximation_mse",
     "build_kernel_matrix",
     "build_system_matrix",
     "decision_values",
     "errors",
     "kernel_columns",
-    "kernel_objective",
     "load_delimited",
     "load_model",
     "load_sparse_text",

@@ -8,8 +8,9 @@ steps the multiplier u. Here it is restated around Z = W_tilde Q D^(-1/2),
 where Q D Q^T is the symmetric eigendecomposition of the fixed system
 matrix, with the scaled auxiliary a_hat = rho * a and the shared
 intermediate theta, so each pass is two thin matrix-vector products plus
-element-wise work. The multiplier iterates are the textbook ones, and
-beta_tilde = Q D^(-1/2) S is formed only for the stop test.
+element-wise work. The multiplier iterates are the textbook ones. The
+basis Q D^(-1/2) is formed once per solve: it folds into Z, and
+beta_tilde = Q D^(-1/2) S is formed from it only for the stop test.
 
 The product Z S that each pass forms is still the vector of margins
 w_tilde_i . beta_tilde = y_i * (x_i . beta + beta0) of the current
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import SymmetricMatrix, symmetric_evd, truncate_spectrum
+from .eigen import symmetric_evd, truncate_spectrum
 from .errors import (
     NonFiniteError,
     RankDeficientError,
@@ -80,14 +81,17 @@ class ConvergenceTrace:
     def __len__(self):
         return len(self.rows)
 
-    def time_to_accuracy_ms(self, target):
-        """Cumulative solver time at the first trace row reaching ``target``."""
+    def reach_accuracy(self, target):
+        """(iteration, cumulative solver ms) at the first row reaching ``target``.
+
+        Returns (None, None) when no row reaches it.
+        """
         cum = 0.0
         for r in self.rows:
             cum += r.elapsed_ms or 0.0
             if r.train_accuracy is not None and r.train_accuracy >= target:
-                return cum
-        return None
+                return r.iteration, cum
+        return None, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +127,7 @@ def build_system_matrix(w, y, lambda_, rho):
     The matrix is lambda*diag(1, ..., 1, 0) + rho*W_tilde^T W_tilde with
     W_tilde = [w, y]: top-left block lambda*I + rho*w^T w, border
     rho*w^T y, corner rho*N. The ridge term applies to the p feature rows
-    only, never the bias row.
+    only, never the bias row. Returns the array.
     """
     p = w.shape[1]
     a = np.empty((p + 1, p + 1))
@@ -132,28 +136,29 @@ def build_system_matrix(w, y, lambda_, rho):
     a[:p, p] = border
     a[p, :p] = border
     a[p, p] = rho * w.shape[0]
-    return SymmetricMatrix.from_array(a)
+    return a
 
 
-def precompute_z(w, y, evd, trunc):
+def precompute_z(w, y, basis):
     """Fold the signed rows and the inverted system matrix into Z = W_tilde Q D^(-1/2).
 
+    ``basis`` is Q D^(-1/2) from :func:`admmsvm.eigen.truncate_spectrum`.
     Z Z^T then equals W_tilde A^(-1) W_tilde^T, the constant matrix the
     iteration applies each pass, but only N x (p+1) numbers are stored.
-    Z is w times the first p rows of Q D^(-1/2), plus its last row on the
+    Z is w times the first p rows of the basis, plus its last row on the
     rows where y = +1 and minus it where y = -1; both are done in place,
-    so Z is the only N x (p+1) array formed.
+    so Z is the only N x (p+1) array formed. Raises
+    :class:`~admmsvm.errors.RankDeficientError` when the basis has fewer
+    than p+1 columns, that is when the system matrix is singular.
     """
-    width = w.shape[1] + 1
-    if trunc.rank_kept < width:
+    if basis.shape[1] < w.shape[1] + 1:
         raise RankDeficientError(
             "system matrix is numerically singular; increase lambda or rho"
         )
-    scaled_q = evd.q[:, :width] * trunc.inv_sqrt[None, :]
-    z = w @ scaled_q[:-1]
+    z = w @ basis[:-1]
     positive = (y > 0)[:, None]
-    np.add(z, scaled_q[-1], out=z, where=positive)
-    np.subtract(z, scaled_q[-1], out=z, where=~positive)
+    np.add(z, basis[-1], out=z, where=positive)
+    np.subtract(z, basis[-1], out=z, where=~positive)
     return z
 
 
@@ -203,14 +208,14 @@ def solve_linear(w, y, cfg, track_accuracy=False):
 
     Row i of ``w`` is y_i x_i; the returned (beta, beta0) is the
     hyperplane in x.
-    Set-up builds the system matrix, its eigendecomposition and Z once;
-    each pass is one :func:`admm_step`. The loop stops when the squared
-    change of beta_tilde = (beta, beta0) between consecutive iterations is
-    at most epsilon. The training accuracy of an iterate is that of the
-    decision values y * margins, where margins = Z S; with
-    ``track_accuracy`` it is recorded in every trace row (outside the
-    timed solver work), and the returned model always carries it for the
-    final iterate. Returns the model flagged ``converged=False`` when the
+    Set-up builds the system matrix, its eigendecomposition, the basis
+    Q D^(-1/2) and Z once; each pass is one :func:`admm_step`. The loop
+    stops when the squared change of beta_tilde = (beta, beta0) between
+    consecutive iterations is at most epsilon. The training accuracy of an
+    iterate is that of the decision values y * margins, where
+    margins = Z S; with ``track_accuracy`` it is recorded in every trace
+    row (outside the timed solver work), and the returned model always
+    carries it for the final iterate. Returns the model flagged ``converged=False`` when the
     iteration cap is reached before the stop test passes.
     """
     w = np.asarray(w, dtype=float)
@@ -226,11 +231,9 @@ def solve_linear(w, y, cfg, track_accuracy=False):
         raise ValueError("need at least two training samples")
     _check_two_classes(y)
     setup_start = time.perf_counter()
-    a = build_system_matrix(w, y, cfg.lambda_, cfg.rho)
-    evd = symmetric_evd(a)
-    trunc = truncate_spectrum(evd, r=a.n, eig_tol=0.0)
-    z = precompute_z(w, y, evd, trunc)
-    recover = evd.q[:, : trunc.rank_kept] * trunc.inv_sqrt[None, :]
+    q, d = symmetric_evd(build_system_matrix(w, y, cfg.lambda_, cfg.rho))
+    basis = truncate_spectrum(q, d, r=p + 1, eig_tol=0.0)
+    z = precompute_z(w, y, basis)
     state = AdmmState(a_hat=np.zeros(n), u=np.zeros(n))
     setup_ms = (time.perf_counter() - setup_start) * 1e3
 
@@ -241,7 +244,7 @@ def solve_linear(w, y, cfg, track_accuracy=False):
         tic = time.perf_counter()
         u_prev = state.u
         state = admm_step(z, state, cfg.rho)
-        beta_tilde = recover @ state.s
+        beta_tilde = basis @ state.s
         u_res = float(np.linalg.norm(state.u - u_prev))
         beta_res, converged = _beta_stop_test(beta_tilde, beta_tilde_prev, cfg.epsilon)
         elapsed_ms = (time.perf_counter() - tic) * 1e3

@@ -47,7 +47,7 @@ from .errors import (
 from .kernel import KernelParams, build_kernel_matrix
 from .nystrom import NystromConfig, approximation_mse, nystrom_factor
 from .smo import SmoConfig, smo_train
-from .svm import NonlinearModel, decision_values, load_model, save_model, train_nonlinear
+from .svm import decision_values, load_model, save_model, support_model, train_nonlinear
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -118,20 +118,6 @@ def _write_report(payload, path):
         fh.write("\n")
 
 
-def _model_from_smo(result, ds, params, drop_tol=1e-12):
-    keep = np.abs(result.alpha) > drop_tol
-    idx = np.flatnonzero(keep)
-    labels = ds.y[idx]
-    return NonlinearModel(
-        indices=idx,
-        alpha_weighted=result.alpha[idx] * labels,
-        labels=labels.copy(),
-        features=ds.x[idx].copy(),
-        bias=result.b,
-        kernel=params,
-    )
-
-
 def cmd_train(args):
     ds = _load_dataset(args)
     test = None
@@ -147,7 +133,7 @@ def cmd_train(args):
         cfg = SmoConfig(c_box=args.c_box, kkt_tol=args.kkt_tol, max_passes=args.max_passes)
         settings = {"c_box": cfg.c_box, "kkt_tol": cfg.kkt_tol, "max_passes": cfg.max_passes}
         result = smo_train(ds.x, ds.y, params, cfg)
-        model = _model_from_smo(result, ds, params)
+        model = support_model(ds.x, ds.y, np.arange(n), result.alpha * ds.y, result.b, params)
         trace = result.trace
         converged = result.converged
         iterations = result.passes
@@ -291,9 +277,8 @@ def _bench_cell_admm(ds, params, args):
     cfg = AdmmConfig(lambda_=args.lambda_, rho=args.rho, epsilon=args.epsilon,
                      max_iters=args.max_iters)
     model = solve_linear(factor.v, ds.y, cfg, track_accuracy=True)
-    reach_ms = model.trace.time_to_accuracy_ms(args.target_accuracy)
+    iters, reach_ms = model.trace.reach_accuracy(args.target_accuracy)
     time_ms = setup_ms + reach_ms if reach_ms is not None else None
-    iters = _iterations_to_target(model.trace, args.target_accuracy)
     final_acc = model.trace.rows[-1].train_accuracy
     return time_ms, iters, final_acc
 
@@ -301,17 +286,9 @@ def _bench_cell_admm(ds, params, args):
 def _bench_cell_smo(ds, params, args):
     cfg = SmoConfig(c_box=args.c_box, kkt_tol=args.kkt_tol, max_passes=args.max_passes)
     result = smo_train(ds.x, ds.y, params, cfg, accuracy_target=args.target_accuracy)
-    time_ms = result.trace.time_to_accuracy_ms(args.target_accuracy)
-    iters = _iterations_to_target(result.trace, args.target_accuracy)
+    iters, time_ms = result.trace.reach_accuracy(args.target_accuracy)
     final_acc = result.trace.rows[-1].train_accuracy
     return time_ms, iters, final_acc
-
-
-def _iterations_to_target(trace, target):
-    for row in trace.rows:
-        if row.train_accuracy is not None and row.train_accuracy >= target:
-            return row.iteration
-    return None
 
 
 def cmd_bench_convergence(args):

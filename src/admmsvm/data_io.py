@@ -65,7 +65,6 @@ class Dataset:
 class SplitSpec:
     train_fraction: float
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -137,14 +136,14 @@ def _normalize_labels(raw):
     return np.array([mapping[k] for k in keys])
 
 
-def load_delimited(path, label_column, delimiter=",", header="auto"):
+def load_delimited(path, label_column, delimiter=","):
     """Parse a delimited text file into a dataset.
 
     ``label_column`` indexes the label cell of each row (negative indices
-    count from the end). With ``header="auto"`` a first row whose feature
-    cells do not all parse as numbers is treated as column names.
+    count from the end). A first row whose feature cells do not all parse
+    as numbers is treated as column names.
     """
-    x, raw_labels, feature_names = _parse_delimited(path, delimiter, label_column, header)
+    x, raw_labels, feature_names = _parse_delimited(path, delimiter, label_column)
     y = _normalize_labels(raw_labels)
     if x.shape[1] == 0:
         raise ParseError(f"{path}: no feature columns")
@@ -153,10 +152,10 @@ def load_delimited(path, label_column, delimiter=",", header="auto"):
 
 def load_delimited_features(path, delimiter=","):
     """Parse a label-free delimited file into a plain feature matrix."""
-    return _parse_delimited(path, delimiter, None, "auto")[0]
+    return _parse_delimited(path, delimiter, None)[0]
 
 
-def _parse_delimited(path, delimiter, label_column, header):
+def _parse_delimited(path, delimiter, label_column):
     """Features, stripped raw labels (None without a label column) and column names."""
     rows = _data_lines(path)
     first = rows[0][1].split(delimiter)
@@ -168,11 +167,7 @@ def _parse_delimited(path, delimiter, label_column, header):
             raise ParseError(f"{path}: label column {label_column} outside row width {width}")
 
     feature_names = None
-    if header == "auto":
-        has_header = not _feature_cells_numeric(first, label_idx)
-    else:
-        has_header = bool(header)
-    if has_header:
+    if not _feature_cells_numeric(first, label_idx):
         feature_names = [c for j, c in enumerate(first) if j != label_idx]
         rows = rows[1:]
         if not rows:
@@ -334,11 +329,11 @@ def scale_features(ds, mode):
 
 
 def split(ds, spec):
-    """Deterministic train/test partition; both sides keep every class.
+    """Deterministic train/test partition drawn per class; both sides keep every class.
 
-    Stratified mode draws the train fraction within each class (ratio
-    preserved to within one sample per class); either mode requires at
-    least two samples per class so the test side retains one of each.
+    The train fraction is drawn within each class (ratio preserved to
+    within one sample per class), which requires at least two samples per
+    class so the test side retains one of each.
     """
     rng = np.random.default_rng(spec.seed)
     class_counts = {label: int(np.sum(ds.y == label)) for label in (-1.0, 1.0)}
@@ -350,36 +345,17 @@ def split(ds, spec):
                 f"class {label:+.0f} needs at least 2 samples to appear in both sides"
             )
 
-    if spec.stratified:
-        train_idx = []
-        test_idx = []
-        for label in (-1.0, 1.0):
-            members = np.flatnonzero(ds.y == label)
-            members = members[rng.permutation(members.shape[0])]
-            n_train = int(round(spec.train_fraction * members.shape[0]))
-            n_train = min(max(n_train, 1), members.shape[0] - 1)
-            train_idx.append(members[:n_train])
-            test_idx.append(members[n_train:])
-        train_idx = np.sort(np.concatenate(train_idx))
-        test_idx = np.sort(np.concatenate(test_idx))
-    else:
-        order = rng.permutation(ds.n)
-        n_train = int(round(spec.train_fraction * ds.n))
-        n_train = min(max(n_train, 1), ds.n - 1)
-        train_idx = order[:n_train]
-        test_idx = order[n_train:]
-        # guard: pull one sample of any class missing from a side
-        for label in (-1.0, 1.0):
-            if not np.any(ds.y[test_idx] == label):
-                move = train_idx[ds.y[train_idx] == label][-1]
-                train_idx = train_idx[train_idx != move]
-                test_idx = np.append(test_idx, move)
-            elif not np.any(ds.y[train_idx] == label):
-                move = test_idx[ds.y[test_idx] == label][-1]
-                test_idx = test_idx[test_idx != move]
-                train_idx = np.append(train_idx, move)
-        train_idx = np.sort(train_idx)
-        test_idx = np.sort(test_idx)
+    train_idx = []
+    test_idx = []
+    for label in (-1.0, 1.0):
+        members = np.flatnonzero(ds.y == label)
+        members = members[rng.permutation(members.shape[0])]
+        n_train = int(round(spec.train_fraction * members.shape[0]))
+        n_train = min(max(n_train, 1), members.shape[0] - 1)
+        train_idx.append(members[:n_train])
+        test_idx.append(members[n_train:])
+    train_idx = np.sort(np.concatenate(train_idx))
+    test_idx = np.sort(np.concatenate(test_idx))
 
     train = Dataset(x=ds.x[train_idx], y=ds.y[train_idx], feature_names=ds.feature_names)
     test = Dataset(x=ds.x[test_idx], y=ds.y[test_idx], feature_names=ds.feature_names)

@@ -53,17 +53,6 @@ class KernelParams:
             raise ValueError(f"gamma must be a finite negative value, got {self.gamma}")
 
 
-@dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """Label-weighted N-by-N kernel matrix; symmetric with unit diagonal."""
-
-    entries: np.ndarray
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
-
-
 def rbf(xi, xj, params):
     """Evaluate exp(gamma * ||xi - xj||^2) for one pair of feature vectors."""
     xi = np.asarray(xi, dtype=float)
@@ -182,7 +171,7 @@ def _check_subset(m, n):
 
 
 def build_kernel_matrix(X, y, params):
-    """Assemble the full label-weighted kernel matrix.
+    """Assemble the full label-weighted kernel matrix as a read-only N-by-N array.
 
     Only blocks on and above the diagonal are evaluated; each row block's
     transpose fills the part below it. The result is exactly symmetric,
@@ -202,7 +191,7 @@ def build_kernel_matrix(X, y, params):
     psi *= y[None, :]
     np.fill_diagonal(psi, 1.0)
     psi.flags.writeable = False
-    return KernelMatrix(entries=psi)
+    return psi
 
 
 def kernel_columns(X, y, params, M):

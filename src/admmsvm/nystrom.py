@@ -1,13 +1,16 @@
 """Nystrom low-rank factorization of the label-weighted kernel matrix.
 
 Produces a factor V with Psi ~= V V^T from c sampled landmarks and a
-rank-r spectral truncation of the sampled block Psi_MM, keeping the
-spectral pieces (Q_r, d_r) needed later to recover sparse dual weights.
-The sampled block is diagonalized by :func:`admmsvm.eigen.symmetric_evd`,
-so a LAPACK failure surfaces as :class:`~admmsvm.errors.NoConvergenceError`.
-V = Psi[:, M] Q_r D_r^(-1/2) is formed as weighted RBF sums against the
-landmarks, one weight column per retained rank, without storing the N-by-c
-kernel columns Psi[:, M].
+rank-r spectral truncation of the sampled block Psi_MM. The sampled block
+is diagonalized by :func:`admmsvm.eigen.symmetric_evd`, so a LAPACK
+failure surfaces as :class:`~admmsvm.errors.NoConvergenceError` and NaN
+features in a landmark row as :class:`~admmsvm.errors.NonFiniteError`.
+The factor keeps one c-by-k matrix of landmark weights
+W = y_M * Q_k D_k^(-1/2), for the k eigenpairs kept, and uses it twice:
+V = Psi[:, M] Q_k D_k^(-1/2) = y * (K(X, X_M) W) is formed as weighted RBF
+sums against the landmarks, without storing the N-by-c kernel columns
+Psi[:, M]; and the weights beta of the linear solve on V map to the
+label-weighted landmark duals as y_M * alpha_M = W beta.
 """
 
 import warnings
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import DEFAULT_EIG_TOL, SymmetricMatrix, symmetric_evd, truncate_spectrum
+from .eigen import DEFAULT_EIG_TOL, symmetric_evd, truncate_spectrum
 from .errors import DimensionMismatchError, InvalidCountError
 from .kernel import _check_samples, _check_subset, _rbf_sums, build_kernel_matrix
 
@@ -42,17 +45,21 @@ class NystromConfig:
 
 @dataclass(frozen=True, eq=False)
 class NystromFactor:
-    """Rank factor ``v`` plus the sampled subset and retained spectral data.
+    """Rank factor ``v``, the sampled subset ``m`` and the landmark weights W.
 
-    ``v`` has ``effective_rank`` columns, which is less than the requested
-    rank when truncation dropped near-zero eigenvalues of the sampled block.
+    ``weights`` is W = y_M * Q_k D_k^(-1/2), one row per landmark. ``v`` and
+    ``weights`` have ``effective_rank`` columns, which is less than the
+    requested rank when truncation dropped near-zero eigenvalues of the
+    sampled block.
     """
 
     v: np.ndarray
     m: np.ndarray
-    q_r: np.ndarray
-    d_r: np.ndarray
-    effective_rank: int
+    weights: np.ndarray
+
+    @property
+    def effective_rank(self):
+        return self.weights.shape[1]
 
 
 def sample_subset(n, c, seed):
@@ -70,12 +77,13 @@ def nystrom_factor(X, y, params, cfg, subset=None):
 
     Samples a subset M of size c (or uses the caller-provided ``subset``),
     eigendecomposes the sampled block Psi_MM, truncates its spectrum to
-    rank r, and forms v = Psi[:, M] @ Q_r @ diag(d_r)^(-1/2) as the
-    weighted RBF sums y * (K(X, X_M) @ W) with W = y_M * Q_r diag(d_r)^(-1/2),
-    so the N-by-c columns Psi[:, M] are never stored. Each entry of v is
-    within the sums bound of :mod:`admmsvm.kernel` taken with the column
-    sums of |W|, which grow as d_r^(-1/2): the amplification that the
-    product with the stored columns had.
+    rank r, and forms v = Psi[:, M] @ Q_k @ diag(d_k)^(-1/2) as the
+    weighted RBF sums y * (K(X, X_M) @ W). Here W = y_M * Q_k diag(d_k)^(-1/2)
+    is the basis of :func:`admmsvm.eigen.truncate_spectrum` with its rows
+    signed by the landmark labels, so the N-by-c columns Psi[:, M] are never
+    stored. Each entry of v is within the sums bound of :mod:`admmsvm.kernel`
+    taken with the column sums of |W|, which grow as d_k^(-1/2): the
+    amplification that the product with the stored columns had.
     """
     x, y = _check_samples(X, y)
     n = x.shape[0]
@@ -89,37 +97,32 @@ def nystrom_factor(X, y, params, cfg, subset=None):
         m = _check_subset(m, n)
 
     x_m, y_m = x[m], y[m]
-    psi_mm = SymmetricMatrix.from_array(build_kernel_matrix(x_m, y_m, params).entries)
-    evd = symmetric_evd(psi_mm)
-    trunc = truncate_spectrum(evd, cfg.r, cfg.eig_tol)
-    if trunc.rank_kept < cfg.r:
+    q, d = symmetric_evd(build_kernel_matrix(x_m, y_m, params))
+    weights = truncate_spectrum(q, d, cfg.r, cfg.eig_tol)
+    if weights.shape[1] < cfg.r:
         warnings.warn(
-            f"spectrum truncated to rank {trunc.rank_kept} (requested {cfg.r}): "
+            f"spectrum truncated to rank {weights.shape[1]} (requested {cfg.r}): "
             "near-zero eigenvalues dropped",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    k = trunc.rank_kept
-    q_r = evd.q[:, :k]
-    d_r = evd.d[:k]
-    w = q_r * trunc.inv_sqrt[None, :]
-    w *= y_m[:, None]
-    v = _rbf_sums(x, x_m, w, params.gamma)
+    weights *= y_m[:, None]
+    v = _rbf_sums(x, x_m, weights, params.gamma)
     v *= y[:, None]
-    for arr in (v, m, q_r, d_r):
+    for arr in (v, m, weights):
         arr.flags.writeable = False
-    return NystromFactor(v=v, m=m, q_r=q_r, d_r=d_r, effective_rank=int(k))
+    return NystromFactor(v=v, m=m, weights=weights)
 
 
 def approximation_mse(psi, factor):
-    """Mean squared entry-wise error between Psi and v v^T.
+    """Mean squared entry-wise error between the kernel matrix ``psi`` and v v^T.
 
-    The residual is summed over row blocks of ``_MSE_BLOCK_BYTES``, so no
-    N x N array is formed beyond ``psi`` itself.
+    ``psi`` is the array of :func:`admmsvm.kernel.build_kernel_matrix`. The
+    residual is summed over row blocks of ``_MSE_BLOCK_BYTES``, so no N x N
+    array is formed beyond ``psi`` itself.
     """
-    entries = psi.entries
-    n = entries.shape[0]
+    n = psi.shape[0]
     if factor.v.shape[0] != n:
         raise DimensionMismatchError(
             f"factor covers {factor.v.shape[0]} samples, kernel matrix has {n}"
@@ -129,6 +132,6 @@ def approximation_mse(psi, factor):
     total = 0.0
     for start in range(0, n, step):
         resid = v[start:start + step] @ v.T
-        np.subtract(entries[start:start + step], resid, out=resid)
+        np.subtract(psi[start:start + step], resid, out=resid)
         total += np.vdot(resid, resid)
     return float(total / (n * n))

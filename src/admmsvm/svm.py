@@ -66,12 +66,13 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
 
     Steps: Nystrom factor V; linear ADMM solve on the design Y V, whose
     signed rows y_i (y_i v_i) are V itself, so V is passed with no copy;
-    recovery of the dual weights on the sampled subset as
-    Q_r D_r^(-1/2) beta; support entries below ``SUPPORT_DROP_TOL`` in
+    recovery of the label-weighted dual weights on the sampled subset as
+    y_M * alpha_M = W beta, with the factor's landmark weights
+    W = y_M * Q_k D_k^(-1/2); support entries below ``SUPPORT_DROP_TOL`` in
     magnitude are dropped.
 
-    Psi[:, M] alpha_M = V eta, so the decision value at training sample i
-    is y_i (V eta)_i + bias, which is y_i times the solver's margin. The
+    Psi[:, M] alpha_M = V beta, so the decision value at training sample i
+    is y_i (V beta)_i + bias, which is y_i times the solver's margin. The
     reported training accuracy is the solver's, from those margins;
     ``track_accuracy`` also records it at every iteration of the trace.
     """
@@ -79,19 +80,7 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
     y = np.asarray(y, dtype=float)
     factor = nystrom_factor(x, y, kernel, nys, subset=subset)
     linear = solve_linear(factor.v, y, admm, track_accuracy=track_accuracy)
-
-    alpha_subset = factor.q_r @ (linear.beta / np.sqrt(factor.d_r))
-    keep = np.abs(alpha_subset) > SUPPORT_DROP_TOL
-    idx = factor.m[keep]
-    labels = y[idx]
-    model = NonlinearModel(
-        indices=idx.copy(),
-        alpha_weighted=alpha_subset[keep] * labels,
-        labels=labels.copy(),
-        features=x[idx].copy(),
-        bias=linear.beta0,
-        kernel=kernel,
-    )
+    model = support_model(x, y, factor.m, factor.weights @ linear.beta, linear.beta0, kernel)
 
     mse = None
     if compute_mse:
@@ -103,6 +92,24 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
         converged=linear.converged,
         effective_rank=factor.effective_rank,
         nystrom_mse=mse,
+    )
+
+
+def support_model(x, y, indices, alpha_weighted, bias, kernel):
+    """The model over the rows ``indices`` of ``x`` whose weight alpha_i * y_i is kept.
+
+    Entries whose |alpha_weighted| is at most ``SUPPORT_DROP_TOL`` are
+    dropped; the rest keep their index, weight, label and features.
+    """
+    keep = np.abs(alpha_weighted) > SUPPORT_DROP_TOL
+    idx = indices[keep]
+    return NonlinearModel(
+        indices=idx,
+        alpha_weighted=alpha_weighted[keep],
+        labels=y[idx],
+        features=x[idx],
+        bias=bias,
+        kernel=kernel,
     )
 
 
@@ -124,22 +131,6 @@ def decision_values(model, X):
     if model.n_support == 0:
         return np.full(x.shape[0], model.bias)
     return _rbf_sums(x, model.features, model.alpha_weighted, model.kernel.gamma) + model.bias
-
-
-def kernel_objective(X, y, kernel, alpha, b, lambda_):
-    """Hinge-plus-penalty objective of the kernel formulation at (alpha, b)."""
-    psi = build_kernel_matrix(X, y, kernel).entries
-    y = np.asarray(y, dtype=float)
-    margins = psi @ alpha + y * b
-    hinge = np.sum(np.maximum(1.0 - margins, 0.0))
-    return float(hinge + 0.5 * lambda_ * alpha @ psi @ alpha)
-
-
-def alpha_vector(model, n):
-    """Dense length-n multiplier vector (zeros off the support)."""
-    alpha = np.zeros(n)
-    alpha[model.indices] = model.alpha_weighted * model.labels
-    return alpha
 
 
 def save_model(model, sink, fmt="binary"):

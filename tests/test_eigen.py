@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from admmsvm.eigen import SymmetricMatrix, symmetric_evd, truncate_spectrum
+from admmsvm.eigen import symmetric_evd, truncate_spectrum
 from admmsvm.errors import NoConvergenceError, NonFiniteError, RankDeficientError
 from admmsvm.kernel import KernelParams
 from admmsvm.nystrom import NystromConfig, nystrom_factor
@@ -17,19 +17,19 @@ def random_symmetric(n, seed):
 
 
 def test_identity_is_already_diagonal():
-    res = symmetric_evd(np.eye(3))
-    np.testing.assert_array_equal(res.d, np.ones(3))
+    q, d = symmetric_evd(np.eye(3))
+    np.testing.assert_array_equal(d, np.ones(3))
     # eigenvectors may be any permutation of identity columns
-    assert np.allclose(np.abs(res.q) @ np.ones(3), np.ones(3))
+    assert np.allclose(np.abs(q) @ np.ones(3), np.ones(3))
 
 
 def test_two_by_two_known_eigenpairs():
-    res = symmetric_evd(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    np.testing.assert_allclose(res.d, [3.0, 1.0], atol=1e-12)
+    q, d = symmetric_evd(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    np.testing.assert_allclose(d, [3.0, 1.0], atol=1e-12)
     ones = np.array([1.0, 1.0]) / np.sqrt(2.0)
     alt = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert min(np.linalg.norm(res.q[:, 0] - ones), np.linalg.norm(res.q[:, 0] + ones)) < 1e-10
-    assert min(np.linalg.norm(res.q[:, 1] - alt), np.linalg.norm(res.q[:, 1] + alt)) < 1e-10
+    assert min(np.linalg.norm(q[:, 0] - ones), np.linalg.norm(q[:, 0] + ones)) < 1e-10
+    assert min(np.linalg.norm(q[:, 1] - alt), np.linalg.norm(q[:, 1] + alt)) < 1e-10
 
 
 def test_recovers_synthesized_spectrum():
@@ -38,41 +38,41 @@ def test_recovers_synthesized_spectrum():
     q0, _ = np.linalg.qr(rng.standard_normal((16, 16)))
     d0 = np.sort(rng.uniform(0.5, 9.0, size=16))[::-1]
     a = q0 @ np.diag(d0) @ q0.T
-    res = symmetric_evd(a)
-    np.testing.assert_allclose(res.d, d0, atol=1e-8)
+    _, d = symmetric_evd(a)
+    np.testing.assert_allclose(d, d0, atol=1e-8)
 
 
 @pytest.mark.parametrize("n", [2, 5, 16, 33, 64])
 def test_reconstruction_orthogonality_trace(n):
     a = random_symmetric(n, seed=n)
-    res = symmetric_evd(a)
+    q, d = symmetric_evd(a)
     fro = np.linalg.norm(a)
-    assert np.linalg.norm(a - res.q @ np.diag(res.d) @ res.q.T) <= 1e-8 * fro
-    assert np.abs(res.q.T @ res.q - np.eye(n)).max() <= 1e-9
-    assert abs(res.d.sum() - np.trace(a)) <= 1e-8 * max(1.0, abs(np.trace(a)))
+    assert np.linalg.norm(a - q @ np.diag(d) @ q.T) <= 1e-8 * fro
+    assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-9
+    assert abs(d.sum() - np.trace(a)) <= 1e-8 * max(1.0, abs(np.trace(a)))
 
 
 def test_spd_eigenvalues_nonnegative():
     rng = np.random.default_rng(3)
     b = rng.standard_normal((12, 12))
     a = b @ b.T
-    res = symmetric_evd(a)
-    assert res.d.min() >= -1e-10 * np.linalg.norm(a)
+    _, d = symmetric_evd(a)
+    assert d.min() >= -1e-10 * np.linalg.norm(a)
 
 
 def test_eigenvalues_sorted_descending_and_sign_fixed():
-    res = symmetric_evd(random_symmetric(10, seed=1))
-    assert np.all(np.diff(res.d) <= 1e-15)
-    anchors = np.argmax(np.abs(res.q), axis=0)
-    assert np.all(res.q[anchors, np.arange(10)] >= 0)
+    q, d = symmetric_evd(random_symmetric(10, seed=1))
+    assert np.all(np.diff(d) <= 1e-15)
+    anchors = np.argmax(np.abs(q), axis=0)
+    assert np.all(q[anchors, np.arange(10)] >= 0)
 
 
 def test_deterministic_across_runs():
     a = random_symmetric(14, seed=5)
-    r1 = symmetric_evd(a)
-    r2 = symmetric_evd(a)
-    np.testing.assert_array_equal(r1.d, r2.d)
-    np.testing.assert_array_equal(r1.q, r2.q)
+    q1, d1 = symmetric_evd(a)
+    q2, d2 = symmetric_evd(a)
+    np.testing.assert_array_equal(d1, d2)
+    np.testing.assert_array_equal(q1, q2)
 
 
 def test_non_finite_input_rejected():
@@ -84,7 +84,7 @@ def test_non_finite_input_rejected():
 
 def test_asymmetric_input_rejected():
     with pytest.raises(ValueError):
-        SymmetricMatrix.from_array(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        symmetric_evd(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_lapack_failure_raises_typed_error(monkeypatch):
@@ -100,8 +100,8 @@ def test_lapack_failure_raises_typed_error(monkeypatch):
 
 
 def test_outputs_read_only():
-    res = symmetric_evd(random_symmetric(5, seed=4))
-    assert not res.q.flags.writeable and not res.d.flags.writeable
+    q, d = symmetric_evd(random_symmetric(5, seed=4))
+    assert not q.flags.writeable and not d.flags.writeable
 
 
 class TestTruncateSpectrum:
@@ -109,30 +109,28 @@ class TestTruncateSpectrum:
         return symmetric_evd(np.diag(np.sort(np.asarray(d, dtype=float))[::-1]))
 
     def test_two_of_three_kept(self):
-        trunc = truncate_spectrum(self._evd([4.0, 1.0, 0.0]), r=2, eig_tol=1e-12)
-        assert trunc.rank_kept == 2
-        np.testing.assert_allclose(trunc.inv_sqrt, [0.5, 1.0])
+        basis = truncate_spectrum(*self._evd([4.0, 1.0, 0.0]), r=2, eig_tol=1e-12)
+        # leading eigenvectors e0, e1, each scaled by d^(-1/2)
+        np.testing.assert_allclose(basis, [[0.5, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
     def test_tiny_eigenvalue_dropped(self):
-        trunc = truncate_spectrum(self._evd([4.0, 1e-15, 0.0]), r=2, eig_tol=1e-10)
-        assert trunc.rank_kept == 1
+        basis = truncate_spectrum(*self._evd([4.0, 1e-15, 0.0]), r=2, eig_tol=1e-10)
+        assert basis.shape[1] == 1
 
     def test_single_eigenvalue(self):
-        trunc = truncate_spectrum(self._evd([9.0]), r=1, eig_tol=0.0)
-        np.testing.assert_allclose(trunc.inv, [1.0 / 9.0])
-        np.testing.assert_allclose(trunc.inv_sqrt, [1.0 / 3.0])
+        basis = truncate_spectrum(*self._evd([9.0]), r=1, eig_tol=0.0)
+        np.testing.assert_allclose(basis, [[1.0 / 3.0]])
 
     def test_full_rank_keeps_everything(self):
         rng = np.random.default_rng(11)
         b = rng.standard_normal((8, 8))
-        evd = symmetric_evd(b @ b.T + 0.5 * np.eye(8))
-        trunc = truncate_spectrum(evd, r=8, eig_tol=0.0)
-        assert trunc.rank_kept == 8
+        basis = truncate_spectrum(*symmetric_evd(b @ b.T + 0.5 * np.eye(8)), r=8, eig_tol=0.0)
+        assert basis.shape[1] == 8
 
     def test_rank_deficient_raises(self):
         with pytest.raises(RankDeficientError):
-            truncate_spectrum(self._evd([1e-14, 0.0]), r=1, eig_tol=1e-10)
+            truncate_spectrum(*self._evd([1e-14, 0.0]), r=1, eig_tol=1e-10)
 
     def test_bad_rank_rejected(self):
         with pytest.raises(ValueError):
-            truncate_spectrum(self._evd([1.0, 1.0]), r=3, eig_tol=0.0)
+            truncate_spectrum(*self._evd([1.0, 1.0]), r=3, eig_tol=0.0)

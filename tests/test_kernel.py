@@ -63,13 +63,13 @@ def test_gamma_must_be_negative():
 
 def test_single_sample_matrix():
     psi = build_kernel_matrix(np.array([[3.0, 1.0]]), np.array([1.0]), KernelParams(-1.0))
-    np.testing.assert_array_equal(psi.entries, [[1.0]])
+    np.testing.assert_array_equal(psi, [[1.0]])
 
 
 def test_identical_samples_opposite_labels():
     x = np.array([[2.0, 2.0], [2.0, 2.0]])
     psi = build_kernel_matrix(x, np.array([1.0, -1.0]), KernelParams(-1.0))
-    np.testing.assert_array_equal(psi.entries, [[1.0, -1.0], [-1.0, 1.0]])
+    np.testing.assert_array_equal(psi, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def entry_tolerance(x, gamma):
@@ -82,7 +82,7 @@ def test_matches_brute_force_double_loop():
     x, y = toy_set()
     params = KernelParams(-1.0)
     psi = build_kernel_matrix(x, y, params)
-    assert np.all(np.abs(psi.entries - brute_force_psi(x, y, params)) <= entry_tolerance(x, -1.0))
+    assert np.all(np.abs(psi - brute_force_psi(x, y, params)) <= entry_tolerance(x, -1.0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -94,7 +94,7 @@ def test_entries_are_within_the_stated_bound_of_per_pair_rbf(p, log_scale, shift
     x = shift + 10.0 ** log_scale * rng.standard_normal((n, p))
     x[-1] = x[rng.integers(0, n - 1)]
     y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
-    psi = build_kernel_matrix(x, y, KernelParams(gamma)).entries
+    psi = build_kernel_matrix(x, y, KernelParams(gamma))
     err = np.abs(psi - brute_force_psi(x, y, KernelParams(gamma)))
     assert np.all(err <= entry_tolerance(x, gamma))
 
@@ -102,9 +102,9 @@ def test_entries_are_within_the_stated_bound_of_per_pair_rbf(p, log_scale, shift
 def test_exactly_symmetric_and_unit_diagonal():
     x, y = toy_set(seed=5, n=17, p=6)
     psi = build_kernel_matrix(x, y, KernelParams(-0.3))
-    assert np.array_equal(psi.entries, psi.entries.T)
-    assert np.all(np.diag(psi.entries) == 1.0)
-    assert np.abs(psi.entries).max() <= 1.0
+    assert np.array_equal(psi, psi.T)
+    assert np.all(np.diag(psi) == 1.0)
+    assert np.abs(psi).max() <= 1.0
 
 
 def test_columns_full_selection_equals_matrix():
@@ -112,7 +112,7 @@ def test_columns_full_selection_equals_matrix():
     params = KernelParams(-0.8)
     psi = build_kernel_matrix(x, y, params)
     cols = kernel_columns(x, y, params, np.arange(9))
-    np.testing.assert_array_equal(cols, psi.entries)
+    np.testing.assert_array_equal(cols, psi)
 
 
 def test_single_column_has_unit_row():
@@ -128,7 +128,7 @@ def test_random_columns_match_full_matrix_exactly():
     psi = build_kernel_matrix(x, y, params)
     m = np.array([2, 0, 3])
     cols = kernel_columns(x, y, params, m)
-    np.testing.assert_array_equal(cols, psi.entries[:, m])
+    np.testing.assert_array_equal(cols, psi[:, m])
 
 
 def test_columns_match_on_larger_instance():
@@ -137,7 +137,7 @@ def test_columns_match_on_larger_instance():
     psi = build_kernel_matrix(x, y, params)
     rng = np.random.default_rng(1)
     m = rng.choice(40, size=13, replace=False)
-    np.testing.assert_array_equal(kernel_columns(x, y, params, m), psi.entries[:, m])
+    np.testing.assert_array_equal(kernel_columns(x, y, params, m), psi[:, m])
 
 
 def test_column_index_validation():
@@ -171,7 +171,7 @@ def test_wide_instance_spans_several_blocks(wide):
 
 def test_blocked_matrix_is_symmetric_and_equals_its_columns(wide):
     params = KernelParams(-1.0)
-    psi = build_kernel_matrix(wide.x, wide.y, params).entries
+    psi = build_kernel_matrix(wide.x, wide.y, params)
     assert np.array_equal(psi, psi.T)
     assert np.all(np.diag(psi) == 1.0)
     np.testing.assert_array_equal(kernel_columns(wide.x, wide.y, params, np.arange(wide.n)), psi)
@@ -181,7 +181,7 @@ def test_blocked_matrix_is_symmetric_and_equals_its_columns(wide):
 
 def test_blocked_matrix_entries_are_within_the_bound_of_per_pair_rbf(wide):
     params = KernelParams(-1.0)
-    psi = build_kernel_matrix(wide.x, wide.y, params).entries
+    psi = build_kernel_matrix(wide.x, wide.y, params)
     tol = entry_tolerance(wide.x, -1.0)
     rng = np.random.default_rng(4)
     for i, j in rng.integers(0, wide.n, size=(300, 2)):
@@ -196,8 +196,8 @@ def test_strided_and_fortran_samples_give_the_bits_of_a_contiguous_copy(wide):
         assert not view.flags.c_contiguous
         copy = np.ascontiguousarray(view)
         y = wide.y[:view.shape[0]]
-        assert (build_kernel_matrix(view, y, params).entries.tobytes()
-                == build_kernel_matrix(copy, y, params).entries.tobytes())
+        assert (build_kernel_matrix(view, y, params).tobytes()
+                == build_kernel_matrix(copy, y, params).tobytes())
         assert (kernel_columns(view, y, params, m).tobytes()
                 == kernel_columns(copy, y, params, m).tobytes())
 
@@ -207,12 +207,12 @@ def test_column_sets_agree_with_the_matrix_across_block_boundaries(monkeypatch, 
     x, y = toy_set(seed=p, n=40, p=p)
     x += 100.0
     params = KernelParams(-0.5 / p)
-    psi = build_kernel_matrix(x, y, params).entries
+    psi = build_kernel_matrix(x, y, params)
     m = np.random.default_rng(p).choice(40, size=13, replace=False)
     # a budget of 7 p doubles leaves a few rows a block at most, so column sets
     # and matrix blocks cross many block boundaries
     monkeypatch.setattr(kernel, "_BLOCK_BUDGET_BYTES", 7 * 8 * p)
-    np.testing.assert_array_equal(build_kernel_matrix(x, y, params).entries, psi)
+    np.testing.assert_array_equal(build_kernel_matrix(x, y, params), psi)
     for cols in ([17], m, np.arange(40)):
         np.testing.assert_array_equal(kernel_columns(x, y, params, cols), psi[:, cols])
 

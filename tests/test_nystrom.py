@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from admmsvm.admm import AdmmConfig
+from admmsvm.admm import AdmmConfig, solve_linear
+from admmsvm.eigen import symmetric_evd
 from admmsvm.errors import (
     DimensionMismatchError,
     DuplicateIndexError,
@@ -18,7 +19,7 @@ from admmsvm.nystrom import (
     nystrom_factor,
     sample_subset,
 )
-from admmsvm.svm import train_nonlinear
+from admmsvm.svm import SUPPORT_DROP_TOL, train_nonlinear
 from admmsvm.synthetic import mnist_like
 
 PARAMS = KernelParams(-1.0)
@@ -77,7 +78,7 @@ def test_exact_when_subset_covers_everything():
     x, y = make_data(6, seed=1)
     psi = build_kernel_matrix(x, y, PARAMS)
     factor = nystrom_factor(x, y, PARAMS, NystromConfig(c=6, r=6, seed=0, eig_tol=0.0))
-    rel = np.linalg.norm(psi.entries - factor.v @ factor.v.T) / np.linalg.norm(psi.entries)
+    rel = np.linalg.norm(psi - factor.v @ factor.v.T) / np.linalg.norm(psi)
     assert rel <= 1e-8
 
 
@@ -89,7 +90,7 @@ def test_rank_one_matrix_reproduced_exactly():
         # the 6x6 matrix of ones is rank 1, so any r > 1 triggers truncation
         factor = nystrom_factor(x, y, PARAMS, NystromConfig(c=2, r=2, seed=0))
     assert factor.effective_rank == 1
-    np.testing.assert_allclose(factor.v @ factor.v.T, psi.entries, atol=1e-10)
+    np.testing.assert_allclose(factor.v @ factor.v.T, psi, atol=1e-10)
 
 
 def test_factor_matches_its_defining_product():
@@ -98,7 +99,7 @@ def test_factor_matches_its_defining_product():
     x, y = make_data(20, seed=4)
     factor = nystrom_factor(x, y, PARAMS, NystromConfig(c=8, r=5, seed=2))
     cols = kernel_columns(x, y, PARAMS, factor.m)
-    expected = cols @ factor.q_r @ np.diag(1.0 / np.sqrt(factor.d_r))
+    expected = cols @ (y[factor.m][:, None] * factor.weights)
     rel = np.linalg.norm(factor.v - expected) / max(np.linalg.norm(expected), 1.0)
     assert rel <= 1e-8
 
@@ -129,11 +130,8 @@ def test_mse_zero_for_exact_factor():
 def test_mse_of_zero_factor_is_mean_square_entry():
     x, y = make_data(5, seed=3)
     psi = build_kernel_matrix(x, y, PARAMS)
-    empty = NystromFactor(
-        v=np.zeros((5, 0)), m=np.arange(0), q_r=np.zeros((0, 0)),
-        d_r=np.zeros(0), effective_rank=0,
-    )
-    assert approximation_mse(psi, empty) == pytest.approx(np.mean(psi.entries**2))
+    empty = NystromFactor(v=np.zeros((5, 0)), m=np.arange(0), weights=np.zeros((0, 0)))
+    assert approximation_mse(psi, empty) == pytest.approx(np.mean(psi**2))
 
 
 def test_mse_matches_double_loop():
@@ -144,7 +142,7 @@ def test_mse_matches_double_loop():
     total = 0.0
     for i in range(10):
         for j in range(10):
-            total += (psi.entries[i, j] - approx[i, j]) ** 2
+            total += (psi[i, j] - approx[i, j]) ** 2
     assert approximation_mse(psi, factor) == pytest.approx(total / 100.0)
 
 
@@ -238,7 +236,7 @@ def brute_force_columns(x, y, m, gamma):
 
 def test_wide_factor_matches_brute_force_product(wide_factor):
     x, y, factor = wide_factor
-    w = factor.q_r / np.sqrt(factor.d_r)[None, :]
+    w = y[factor.m][:, None] * factor.weights
     expected = brute_force_columns(x, y, factor.m, PARAMS.gamma) @ w
     # the sums bound of admmsvm.kernel, with the column sums of |W| as sum |w|
     x_m = x[factor.m]
@@ -254,3 +252,23 @@ def test_wide_factor_reproduces_sampled_block(wide_factor):
     dropped = np.abs(np.linalg.eigvalsh(psi_mm)[::-1][factor.effective_rank:]).sum()
     v_m = factor.v[factor.m]
     assert np.max(np.abs(v_m @ v_m.T - psi_mm)) <= 1e-8 + dropped
+
+
+def test_landmark_duals_are_the_weights_times_beta():
+    ds = mnist_like(512, seed=8)
+    nys = NystromConfig(c=32, r=32, seed=3)
+    factor = nystrom_factor(ds.x, ds.y, PARAMS, nys)
+    beta = solve_linear(factor.v, ds.y, AdmmConfig()).beta
+    model = train_nonlinear(ds.x, ds.y, PARAMS, nys, AdmmConfig()).model
+
+    weighted = factor.weights @ beta
+    keep = np.abs(weighted) > SUPPORT_DROP_TOL
+    np.testing.assert_array_equal(model.indices, factor.m[keep])
+    np.testing.assert_array_equal(model.alpha_weighted, weighted[keep])
+    # the recovery alpha_M = Q_r (beta / sqrt(d_r)), from the sampled block's spectrum
+    q, d = symmetric_evd(build_kernel_matrix(ds.x[factor.m], ds.y[factor.m], PARAMS))
+    k = factor.effective_rank
+    alpha = q[:, :k] @ (beta / np.sqrt(d[:k]))
+    assert np.all(np.abs(alpha) > SUPPORT_DROP_TOL)
+    np.testing.assert_allclose(model.alpha_weighted * model.labels, alpha, rtol=0,
+                               atol=1e-14 * np.abs(alpha).sum())

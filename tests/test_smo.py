@@ -18,7 +18,7 @@ RBF = KernelParams(gamma=-1.0)
 
 def kkt_gap(x, y, kernel, alpha, c_box):
     """m(alpha) - M(alpha): the maximal violating pair's gap, from a fresh kernel matrix."""
-    grad = build_kernel_matrix(x, y, kernel).entries @ alpha - 1.0
+    grad = build_kernel_matrix(x, y, kernel) @ alpha - 1.0
     v = -y * grad
     up = np.where(y > 0, alpha < c_box, alpha > 0)
     low = np.where(y > 0, alpha > 0, alpha < c_box)
@@ -26,7 +26,7 @@ def kkt_gap(x, y, kernel, alpha, c_box):
 
 
 def dual_objective(x, y, kernel, alpha):
-    psi = build_kernel_matrix(x, y, kernel).entries
+    psi = build_kernel_matrix(x, y, kernel)
     return float(alpha.sum() - 0.5 * alpha @ psi @ alpha)
 
 
@@ -133,7 +133,7 @@ def test_random_problems_stay_feasible_and_certified(problem, c_box, gamma):
 def test_cached_rows_give_the_dense_matrix_result(n, p, seed, c_box):
     ds = mnist_like(n, p=p, seed=seed)
     cfg = SmoConfig(c_box=c_box)
-    q = build_kernel_matrix(ds.x, ds.y, RBF).entries
+    q = build_kernel_matrix(ds.x, ds.y, RBF)
     alpha, b, trace, converged, passes = smo._solve(lambda t: q[t], ds.y, cfg)
     result = smo_train(ds.x, ds.y, RBF, cfg)
     assert result.alpha.tobytes() == alpha.tobytes()
@@ -144,7 +144,7 @@ def test_cached_rows_give_the_dense_matrix_result(n, p, seed, c_box):
 
 def test_rows_are_fetched_once_each_and_equal_the_matrix(monkeypatch):
     ds = mnist_like(512, seed=0)
-    q = build_kernel_matrix(ds.x, ds.y, RBF).entries
+    q = build_kernel_matrix(ds.x, ds.y, RBF)
     fetched = []
     columns = smo.kernel_columns
 
