@@ -10,7 +10,6 @@ from .admm import (
     build_system_matrix,
     precompute_z,
     primal_objective,
-    soft_threshold,
     solve_linear,
 )
 from .data_io import (
@@ -76,7 +75,6 @@ __all__ = [
     "save_model",
     "scale_features",
     "smo_train",
-    "soft_threshold",
     "solve_linear",
     "split",
     "symmetric_evd",

@@ -8,9 +8,13 @@ steps the multiplier u. Here it is restated around Z = W_tilde Q D^(-1/2),
 where Q D Q^T is the symmetric eigendecomposition of the fixed system
 matrix, with the scaled auxiliary a_hat = rho * a and the shared
 intermediate theta, so each pass is two thin matrix-vector products plus
-element-wise work. The multiplier iterates are the textbook ones. The
-basis Q D^(-1/2) is formed once per solve: it folds into Z, and
-beta_tilde = Q D^(-1/2) S is formed from it only for the stop test.
+element-wise work. The multiplier iterates are the textbook ones. Their
+step u = theta - S(theta, 1), with S the soft threshold at 1, is the
+projection of theta onto the dual box [0, 1], so it is written as
+u = clip(theta, 0, 1) and a_hat = theta - u, which equals the
+soft-threshold form bit for bit. The basis Q D^(-1/2) is formed once per
+solve: it folds into Z, and beta_tilde = Q D^(-1/2) S is formed from it
+only for the stop test.
 
 The product Z S that each pass forms is still the vector of margins
 w_tilde_i . beta_tilde = y_i * (x_i . beta + beta0) of the current
@@ -29,8 +33,6 @@ from .errors import (
     RankDeficientError,
     SingleClassError,
 )
-
-DIVERGENCE_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,11 @@ class AdmmConfig:
 
 @dataclass(frozen=True, eq=False)
 class AdmmState:
-    """Per-iteration solver variables: scaled auxiliary, multiplier, S = Z^T B, margins Z S."""
+    """Per-iteration solver variables: scaled auxiliary, multiplier, S = Z^T B, margins Z S.
+
+    After a step, u lies in [0, 1], and a_hat is 0 where 0 < u < 1, at
+    least 0 where u = 1 and at most 0 where u = 0.
+    """
 
     a_hat: np.ndarray
     u: np.ndarray
@@ -106,21 +112,6 @@ class LinearModel:
     train_accuracy: float
 
 
-def soft_threshold(theta, delta):
-    """Piecewise shrinkage: theta-delta above delta, 0 on [0, delta], theta below 0.
-
-    Accepts scalars or arrays (applied element-wise in theta); delta is a
-    non-negative scalar.
-    """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    th = np.asarray(theta, dtype=float)
-    out = np.where(th > delta, th - delta, np.where(th < 0.0, th, 0.0))
-    if th.ndim == 0:
-        return float(out)
-    return out
-
-
 def build_system_matrix(w, y, lambda_, rho):
     """Assemble the fixed (p+1)x(p+1) system matrix of the beta update.
 
@@ -166,23 +157,20 @@ def admm_step(z, state, rho):
     """Advance one iteration.
 
     In order: B = u + rho*1 - a_hat; S = Z^T B; margins = Z S;
-    theta = rho*1 + u - rho*margins; new a_hat = soft-threshold of theta
-    at 1; new u = theta - a_hat. The margins are w_tilde_i . beta_tilde
-    at the iterate beta_tilde = Q D^(-1/2) S and are kept on the state.
+    theta = rho*1 + u - rho*margins; new u = clip(theta, 0, 1), the
+    projection onto the dual box; new a_hat = theta - u. The margins are
+    w_tilde_i . beta_tilde at the iterate beta_tilde = Q D^(-1/2) S and are
+    kept on the state. Raises :class:`~admmsvm.errors.NonFiniteError` when
+    S is not finite: Z is bounded (||Z||_2 <= 1/sqrt(rho)), so a non-finite
+    u, a_hat or theta reaches S within one step, and the check costs O(p).
     """
-    b_vec = state.u + rho - state.a_hat
-    s = z.T @ b_vec
+    s = z.T @ (state.u + rho - state.a_hat)
+    if not np.isfinite(s).all():
+        raise NonFiniteError("ADMM iterates diverged; check lambda and rho")
     margins = z @ s
     theta = rho + state.u - rho * margins
-    a_hat = soft_threshold(theta, 1.0)
-    u = theta - a_hat
-    _check_diverged(u)
-    return AdmmState(a_hat=a_hat, u=u, s=s, margins=margins)
-
-
-def _check_diverged(u):
-    if not np.all(np.isfinite(u)) or np.abs(u).max() > DIVERGENCE_LIMIT:
-        raise NonFiniteError("ADMM iterates diverged; check lambda and rho")
+    u = np.clip(theta, 0.0, 1.0)
+    return AdmmState(a_hat=theta - u, u=u, s=s, margins=margins)
 
 
 def primal_objective(X, y, beta, beta0, lambda_):

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import ConvergenceTrace, TraceRow, accuracy
-from .errors import SingleClassError
+from .admm import ConvergenceTrace, TraceRow, _check_two_classes, accuracy
 from .kernel import _check_samples, kernel_columns
 
 TAU = 1e-12  # replaces a non-positive curvature a_ij, as in LIBSVM
@@ -165,8 +164,7 @@ def smo_train(X, y, kernel, cfg, accuracy_target=None):
     marked converged unless the gap also closed).
     """
     y = np.asarray(y, dtype=float)
-    if np.all(y > 0) or np.all(y < 0):
-        raise SingleClassError("training data contains a single class")
+    _check_two_classes(y)
     x, y = _check_samples(X, y)
     rows = {}
 

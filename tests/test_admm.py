@@ -1,10 +1,13 @@
 """ADMM linear solver: the step against the textbook update, the stop test and the error paths."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admmsvm import admm
-from admmsvm.admm import AdmmConfig, build_system_matrix, solve_linear
+from admmsvm.admm import AdmmConfig, AdmmState, build_system_matrix, solve_linear
 from admmsvm.eigen import symmetric_evd, truncate_spectrum
 from admmsvm.errors import NonFiniteError, SingleClassError
 from admmsvm.kernel import KernelParams
@@ -29,6 +32,20 @@ def column(model, name):
     return np.array([getattr(row, name) for row in model.trace.rows])
 
 
+def solve_recording_states(w, y, cfg):
+    """solve_linear's model and the AdmmState of every step it took."""
+    states = []
+    step = admm.admm_step
+
+    def recording_step(z, state, rho):
+        states.append(step(z, state, rho))
+        return states[-1]
+
+    with mock.patch.object(admm, "admm_step", recording_step):
+        model = solve_linear(w, y, cfg)
+    return model, states
+
+
 def augmented(w, y):
     """The textbook design xt = [x, 1], with x_i = y_i w_i."""
     return np.hstack([y[:, None] * w, np.ones((w.shape[0], 1))])
@@ -40,7 +57,9 @@ def textbook_iterates(w, y, cfg):
     The system matrix lambda*diag(1, ..., 1, 0) + rho*xt^T xt is built
     here from xt, not by the solver's code. Each pass solves
     for beta_tilde, soft-thresholds the hinge auxiliary a at 1/rho, then
-    steps the multiplier u; yields (u, a, beta_tilde).
+    steps the multiplier u; yields (u, a, beta_tilde). The soft threshold
+    is written out here, apart from the solver's code: t - 1/rho above
+    1/rho, 0 on [0, 1/rho], t below 0.
     """
     xt, rho = augmented(w, y), cfg.rho
     ridge = np.full(xt.shape[1], cfg.lambda_)
@@ -51,25 +70,18 @@ def textbook_iterates(w, y, cfg):
     while True:
         beta_tilde = a_inv @ (xt.T @ (y * (u - rho * (aux - 1.0))))
         margin = y * (xt @ beta_tilde)
-        aux = admm.soft_threshold(1.0 + u / rho - margin, 1.0 / rho)
+        t = 1.0 + u / rho - margin
+        aux = np.maximum(t - 1.0 / rho, 0.0) + np.minimum(t, 0.0)
         u = u + rho * (1.0 - margin - aux)
         yield u, aux, beta_tilde
 
 
 @pytest.mark.parametrize("make_design", [lambda: nystrom_design(512), blobs_design],
                          ids=["nystrom_512", "blobs_200"])
-def test_every_step_matches_the_textbook_update(make_design, monkeypatch):
+def test_every_step_matches_the_textbook_update(make_design):
     w, y = make_design()
     cfg = AdmmConfig()
-    states = []
-    step = admm.admm_step
-
-    def recording_step(z, state, rho):
-        states.append(step(z, state, rho))
-        return states[-1]
-
-    monkeypatch.setattr(admm, "admm_step", recording_step)
-    model = solve_linear(w, y, cfg)
+    model, states = solve_recording_states(w, y, cfg)
     assert model.converged
     assert len(states) == model.iterations == len(model.trace)
 
@@ -84,6 +96,31 @@ def test_every_step_matches_the_textbook_update(make_design, monkeypatch):
         np.testing.assert_allclose(state.margins, margins, rtol=0.0,
                                    atol=1e-9 * (1.0 + np.abs(margins).max()))
     np.testing.assert_array_equal(model.beta, (recover @ states[-1].s)[:-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(lambda_=st.floats(0.1, 10.0), rho=st.floats(0.1, 10.0),
+       n=st.integers(8, 64), p=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_every_state_is_a_box_projection(lambda_, rho, n, p, seed):
+    """u lies in [0, 1], and a_hat = theta - u is 0 inside the box and points out of it on its faces."""
+    ds = gaussian_blobs(n, p=p, separation=1.0, seed=seed)
+    _, states = solve_recording_states(ds.y[:, None] * ds.x, ds.y,
+                                       AdmmConfig(lambda_, rho, max_iters=100))
+    assert states
+    for state in states:
+        u, a_hat = state.u, state.a_hat
+        assert np.all((u >= 0.0) & (u <= 1.0))
+        assert np.all(a_hat[(u > 0.0) & (u < 1.0)] == 0.0)
+        assert np.all(a_hat[u == 1.0] >= 0.0)
+        assert np.all(a_hat[u == 0.0] <= 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_step_raises_on_a_non_finite_iterate(bad):
+    z = np.random.default_rng(0).standard_normal((6, 3))
+    z[2, 1] = bad
+    with pytest.raises(NonFiniteError):
+        admm.admm_step(z, AdmmState(a_hat=np.zeros(6), u=np.zeros(6)), 1.0)
 
 
 def test_stops_at_first_small_beta_step():
