@@ -87,18 +87,6 @@ class ConvergenceTrace:
     def __len__(self):
         return len(self.rows)
 
-    def reach_accuracy(self, target):
-        """(iteration, cumulative solver ms) at the first row reaching ``target``.
-
-        Returns (None, None) when no row reaches it.
-        """
-        cum = 0.0
-        for r in self.rows:
-            cum += r.elapsed_ms or 0.0
-            if r.train_accuracy is not None and r.train_accuracy >= target:
-                return r.iteration, cum
-        return None, None
-
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:

@@ -1,10 +1,17 @@
-"""Command-line front end: train, predict, approx-study and bench-convergence.
+"""Command-line front end: train, predict and approx-study.
+
+``approx-study`` tests the paper's two claims on one dataset: for each
+(c, r, seed) it trains ADMM on a Nystrom factor and records the factor's
+effective rank and MSE with the training time, iterations and accuracy;
+its last row is exact-kernel SMO on the same problem, at the box
+C = 1/lambda.
 
 Exit codes: 0 success, 1 internal error, 2 invalid flags or configuration,
-3 data or model-file error, 4 a solver finished without converging (or a
-benchmark cell missed its accuracy target) and --allow-nonconverged was
-not set. Dataset paths that do not exist are also resolved against the
-directory named by the ADMMSVM_DATA_DIR environment variable.
+3 data or model-file error (a file that cannot be opened included), 4 a
+solver finished without converging (in approx-study, the solver of any
+row) and --allow-nonconverged was not set. Dataset paths that do not exist
+are also resolved against the directory named by the ADMMSVM_DATA_DIR
+environment variable.
 """
 
 import argparse
@@ -17,7 +24,6 @@ import time
 
 import numpy as np
 
-from . import synthetic
 from .admm import AdmmConfig, accuracy, solve_linear
 from .data_io import (
     SCALE_MINMAX,
@@ -39,7 +45,6 @@ from .errors import (
     MalformedModelFileError,
     MissingValueError,
     NonAscendingIndexError,
-    NonFiniteError,
     NotBinaryError,
     ParseError,
     SingleClassError,
@@ -59,6 +64,8 @@ DATA_DIR_ENV = "ADMMSVM_DATA_DIR"
 REPORT_SCHEMA_VERSION = 2
 SOLVERS = ("efficient", "smo")
 TRACE_COLUMNS = ["iteration", "u_residual", "beta_residual", "train_accuracy", "elapsed_ms"]
+STUDY_COLUMNS = ["solver", "c", "r", "seed", "effective_rank", "mse", "train_ms", "iterations",
+                 "converged", "train_accuracy"]
 
 _DATA_ERRORS = (
     ParseError,
@@ -69,8 +76,7 @@ _DATA_ERRORS = (
     DimensionMismatchError,
     InsufficientClassSamplesError,
     SingleClassError,
-    FileNotFoundError,
-    IsADirectoryError,
+    OSError,
 )
 
 
@@ -141,8 +147,10 @@ def cmd_train(args):
         nystrom_mse = None
         train_accuracy = trace.rows[-1].train_accuracy
     else:
-        r = args.rank if args.rank is not None else min(64, n)
-        c = args.subset_size if args.subset_size is not None else r
+        c = args.subset_size
+        r = args.rank if args.rank is not None else min(64, n if c is None else c)
+        if c is None:
+            c = r
         if not 1 <= r <= c <= n:
             raise InvalidCountError(
                 f"rank settings must satisfy r <= c <= N, got r={r}, c={c}, N={n}"
@@ -239,14 +247,23 @@ def cmd_predict(args):
 
 
 def cmd_approx_study(args):
+    """One row per valid (c, r, seed) of ADMM on the Nystrom factor, then one exact-kernel SMO row.
+
+    Each ``admm`` row trains on the factor whose effective rank and MSE it
+    records; ``train_ms`` times the factor and the solve, not the MSE. The
+    ``smo`` row solves the same problem, with the box C = 1/lambda, and its
+    ``iterations`` are passes. Every solver runs to its own stop rule.
+    """
     ds = _load_dataset(args)
     if ds.n > 8192:
         raise InvalidCountError(
             f"approx-study materializes the full kernel matrix; N={ds.n} exceeds the 8192 guard"
         )
     params = KernelParams(gamma=-abs(args.gamma))
-    psi = build_kernel_matrix(ds.x, ds.y, params)
-
+    admm_cfg = AdmmConfig(lambda_=args.lambda_, rho=args.rho, epsilon=args.epsilon,
+                          max_iters=args.max_iters)
+    smo_cfg = SmoConfig(c_box=1.0 / args.lambda_, kkt_tol=args.kkt_tol,
+                        max_passes=args.max_passes)
     combos = sorted(
         {
             (c, r, seed)
@@ -256,91 +273,39 @@ def cmd_approx_study(args):
     )
     if not combos:
         raise InvalidCountError("no valid (c, r, seed) combinations: need r <= c <= N")
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c", "r", "seed", "mse"])
-        for c, r, seed in combos:
-            factor = nystrom_factor(
-                ds.x, ds.y, params, NystromConfig(c=c, r=r, seed=seed, eig_tol=0.0)
-            )
-            writer.writerow([c, r, seed, repr(approximation_mse(psi, factor))])
-    print(f"wrote {len(combos)} rows to {args.out}")
-    return EXIT_OK
+    psi = build_kernel_matrix(ds.x, ds.y, params)
 
-
-def _bench_cell_admm(ds, params, args):
-    tic = time.perf_counter()
-    r = min(args.rank, ds.n)
-    factor = nystrom_factor(ds.x, ds.y, params, NystromConfig(c=r, r=r, seed=args.seed))
-    setup_ms = (time.perf_counter() - tic) * 1e3
-
-    cfg = AdmmConfig(lambda_=args.lambda_, rho=args.rho, epsilon=args.epsilon,
-                     max_iters=args.max_iters)
-    model = solve_linear(factor.v, ds.y, cfg, track_accuracy=True)
-    iters, reach_ms = model.trace.reach_accuracy(args.target_accuracy)
-    time_ms = setup_ms + reach_ms if reach_ms is not None else None
-    final_acc = model.trace.rows[-1].train_accuracy
-    return time_ms, iters, final_acc
-
-
-def _bench_cell_smo(ds, params, args):
-    cfg = SmoConfig(c_box=args.c_box, kkt_tol=args.kkt_tol, max_passes=args.max_passes)
-    result = smo_train(ds.x, ds.y, params, cfg, accuracy_target=args.target_accuracy)
-    iters, time_ms = result.trace.reach_accuracy(args.target_accuracy)
-    final_acc = result.trace.rows[-1].train_accuracy
-    return time_ms, iters, final_acc
-
-
-def cmd_bench_convergence(args):
-    params = KernelParams(gamma=-abs(args.gamma))
     rows = []
-    any_missed = False
-    for n, seed in itertools.product(args.sizes, args.seeds):
-        ds = synthetic.mnist_like(n, seed=seed)
-        for solver in args.solvers:
-            try:
-                if solver == "smo":
-                    time_ms, iters, final_acc = _bench_cell_smo(ds, params, args)
-                else:
-                    time_ms, iters, final_acc = _bench_cell_admm(ds, params, args)
-            except NonFiniteError as exc:
-                print(f"warning: cell ({solver}, N={n}, seed={seed}) diverged: {exc}",
-                      file=sys.stderr)
-                time_ms, iters, final_acc = None, None, None
-            reached = time_ms is not None
-            any_missed = any_missed or not reached
-            rows.append((solver, n, seed, time_ms, iters, final_acc, reached))
+    for c, r, seed in combos:
+        tic = time.perf_counter()
+        factor = nystrom_factor(ds.x, ds.y, params, NystromConfig(c=c, r=r, seed=seed))
+        linear = solve_linear(factor.v, ds.y, admm_cfg)
+        train_ms = (time.perf_counter() - tic) * 1e3
+        rows.append({"solver": "admm", "c": c, "r": r, "seed": seed,
+                     "effective_rank": factor.effective_rank,
+                     "mse": _fmt(approximation_mse(psi, factor)), "train_ms": _fmt(train_ms),
+                     "iterations": linear.iterations, "converged": linear.converged,
+                     "train_accuracy": _fmt(linear.train_accuracy)})
+    tic = time.perf_counter()
+    result = smo_train(ds.x, ds.y, params, smo_cfg)
+    train_ms = (time.perf_counter() - tic) * 1e3
+    rows.append({"solver": "smo", "train_ms": _fmt(train_ms), "iterations": result.passes,
+                 "converged": result.converged,
+                 "train_accuracy": _fmt(result.trace.rows[-1].train_accuracy)})
 
-    rows.sort(key=lambda row: (row[0], row[1], row[2]))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["solver", "n", "seed", "time_to_target_ms", "iterations_to_target",
-             "final_accuracy", "reached_target"]
-        )
-        for solver, n, seed, time_ms, iters, final_acc, reached in rows:
-            writer.writerow(
-                [solver, n, seed, _fmt(time_ms), "" if iters is None else iters,
-                 _fmt(final_acc), reached]
-            )
-    print(f"wrote {len(rows)} benchmark rows to {args.out}")
-    if any_missed and not args.allow_nonconverged:
-        print("warning: some cells missed the accuracy target", file=sys.stderr)
+        writer = csv.DictWriter(fh, STUDY_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
+    if not all(row["converged"] for row in rows) and not args.allow_nonconverged:
+        print("warning: some solver did not converge", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 
 def _int_list(text):
     return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _solver_list(text):
-    solvers = text.split(",")
-    unknown = [name for name in solvers if name not in SOLVERS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown solver {unknown[0]!r}; choose from {', '.join(SOLVERS)}")
-    return solvers
 
 
 def _add_data_flags(parser):
@@ -358,12 +323,10 @@ def _add_solver_flags(parser):
     parser.add_argument("--rho", type=float, default=1.0)
     parser.add_argument("--epsilon", type=float, default=1e-6)
     parser.add_argument("--max-iters", type=int, default=500)
-    parser.add_argument("--c-box", type=float, default=10.0, help="SMO box constraint")
     parser.add_argument("--kkt-tol", type=float, default=1e-3,
                         help="SMO stops when the maximal violating pair's gap falls below this")
     parser.add_argument("--max-passes", type=int, default=200,
                         help="SMO pass cap; a pass is at most N pair updates")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--allow-nonconverged", action="store_true")
 
 
@@ -377,9 +340,12 @@ def build_parser():
     p_train = sub.add_parser("train", help="train a model and write model/report/trace files")
     _add_data_flags(p_train)
     _add_solver_flags(p_train)
+    p_train.add_argument("--c-box", type=float, default=10.0, help="SMO box constraint")
+    p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--path", choices=SOLVERS, default="efficient",
                          help="efficient: Nystrom factor and ADMM; smo: exact-kernel SMO baseline")
-    p_train.add_argument("--rank", type=int, default=None, help="target rank r (default min(64, N))")
+    p_train.add_argument("--rank", type=int, default=None,
+                         help="target rank r (default min(64, c), or min(64, N) without c)")
     p_train.add_argument("--subset-size", type=int, default=None,
                          help="sampled columns c (default: equal to r)")
     p_train.add_argument("--scaling", choices=[SCALE_MINMAX, SCALE_ZSCORE, SCALE_NONE],
@@ -404,27 +370,16 @@ def build_parser():
     p_pred.add_argument("--out", default="predictions.csv")
     p_pred.set_defaults(func=cmd_predict)
 
-    p_study = sub.add_parser("approx-study",
-                             help="sweep (c, r, seed) and record kernel approximation MSE")
+    p_study = sub.add_parser(
+        "approx-study",
+        help="sweep (c, r, seed): Nystrom rank, MSE and ADMM training, then exact-kernel SMO")
     _add_data_flags(p_study)
-    p_study.add_argument("--gamma", type=float, default=-1.0)
+    _add_solver_flags(p_study)
     p_study.add_argument("--c-list", type=_int_list, required=True)
     p_study.add_argument("--r-list", type=_int_list, required=True)
     p_study.add_argument("--seeds", type=_int_list, default=[0])
     p_study.add_argument("--out", default="approx_study.csv")
     p_study.set_defaults(func=cmd_approx_study)
-
-    p_bench = sub.add_parser("bench-convergence",
-                             help="compare time-to-accuracy across solvers and sample counts")
-    _add_solver_flags(p_bench)
-    p_bench.add_argument("--sizes", type=_int_list, default=[512, 1024, 2048])
-    p_bench.add_argument("--solvers", type=_solver_list, default=list(SOLVERS),
-                         help="comma-separated subset of: " + ", ".join(SOLVERS))
-    p_bench.add_argument("--seeds", type=_int_list, default=[0])
-    p_bench.add_argument("--rank", type=int, default=64)
-    p_bench.add_argument("--target-accuracy", type=float, default=0.95)
-    p_bench.add_argument("--out", default="bench.csv")
-    p_bench.set_defaults(func=cmd_bench_convergence)
 
     return parser
 

@@ -40,7 +40,6 @@ class Dataset:
 
     x: np.ndarray
     y: np.ndarray
-    feature_names: list | None = None
 
     def __post_init__(self):
         if self.x.ndim != 2 or self.x.shape[0] < 1 or self.x.shape[1] < 1:
@@ -141,13 +140,13 @@ def load_delimited(path, label_column, delimiter=","):
 
     ``label_column`` indexes the label cell of each row (negative indices
     count from the end). A first row whose feature cells do not all parse
-    as numbers is treated as column names.
+    as numbers is a header and is skipped.
     """
-    x, raw_labels, feature_names = _parse_delimited(path, delimiter, label_column)
+    x, raw_labels = _parse_delimited(path, delimiter, label_column)
     y = _normalize_labels(raw_labels)
     if x.shape[1] == 0:
         raise ParseError(f"{path}: no feature columns")
-    return Dataset(x=x, y=y, feature_names=feature_names)
+    return Dataset(x=x, y=y)
 
 
 def load_delimited_features(path, delimiter=","):
@@ -156,7 +155,7 @@ def load_delimited_features(path, delimiter=","):
 
 
 def _parse_delimited(path, delimiter, label_column):
-    """Features, stripped raw labels (None without a label column) and column names."""
+    """Features and stripped raw labels (None without a label column)."""
     rows = _data_lines(path)
     first = rows[0][1].split(delimiter)
     width = len(first)
@@ -166,9 +165,7 @@ def _parse_delimited(path, delimiter, label_column):
         if not 0 <= label_idx < width:
             raise ParseError(f"{path}: label column {label_column} outside row width {width}")
 
-    feature_names = None
     if not _feature_cells_numeric(first, label_idx):
-        feature_names = [c for j, c in enumerate(first) if j != label_idx]
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path}: header but no data rows")
@@ -177,12 +174,12 @@ def _parse_delimited(path, delimiter, label_column):
     if x is None:
         x = _parse_cells(path, rows, delimiter, width, label_idx)
     if label_idx is None:
-        return x, None, feature_names
+        return x, None
     if label_idx == width - 1:
         raw_labels = [line.rsplit(delimiter, 1)[-1].strip() for _, line in rows]
     else:
         raw_labels = [line.split(delimiter, label_idx + 1)[label_idx].strip() for _, line in rows]
-    return x, raw_labels, feature_names
+    return x, raw_labels
 
 
 def _data_lines(path):
@@ -324,7 +321,7 @@ def scale_features(ds, mode):
         record = ScalingRecord(mode, mean, scale)
     else:
         raise ValueError(f"unknown scaling mode {mode!r}")
-    scaled = Dataset(x=record.apply(ds.x), y=ds.y, feature_names=ds.feature_names)
+    scaled = Dataset(x=record.apply(ds.x), y=ds.y)
     return scaled, record
 
 
@@ -357,6 +354,6 @@ def split(ds, spec):
     train_idx = np.sort(np.concatenate(train_idx))
     test_idx = np.sort(np.concatenate(test_idx))
 
-    train = Dataset(x=ds.x[train_idx], y=ds.y[train_idx], feature_names=ds.feature_names)
-    test = Dataset(x=ds.x[test_idx], y=ds.y[test_idx], feature_names=ds.feature_names)
+    train = Dataset(x=ds.x[train_idx], y=ds.y[train_idx])
+    test = Dataset(x=ds.x[test_idx], y=ds.y[test_idx])
     return train, test

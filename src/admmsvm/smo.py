@@ -2,8 +2,8 @@
 
 Solves max sum(alpha) - 1/2 alpha^T Q alpha subject to 0 <= alpha <= C and
 y^T alpha = 0, where Q holds y_i y_j k(x_i, x_j). Serves as the correctness
-oracle for small instances and as the convergence-speed baseline in the
-benchmark harness.
+oracle for small instances and as the exact-kernel baseline of the
+benchmark harness and of ``admmsvm approx-study``.
 
 Pair selection follows LIBSVM: i is the maximal violator argmax -y_t G_t
 over I_up, and j is chosen from I_low by the second-order gain -b^2/a
@@ -102,7 +102,7 @@ def _bias(v, alpha, c, m, big_m):
     return float(0.5 * (m + big_m))
 
 
-def _solve(row, y, cfg, accuracy_target=None):
+def _solve(row, y, cfg):
     """The WSS2 pass loop on Q given by rows: ``row(t)`` returns Q[t].
 
     Q must have a unit diagonal. Returns alpha, the bias, the trace, whether
@@ -139,29 +139,24 @@ def _solve(row, y, cfg, accuracy_target=None):
         m, big_m = np.max(v[up]), np.min(v[low])
         converged = bool(m - big_m < cfg.kkt_tol)
         bias = _bias(v, alpha, c, m, big_m)
-        acc = accuracy(y * (grad + 1.0) + bias, y)
         trace.append(
             TraceRow(
                 iteration=passes,
-                train_accuracy=acc,
+                train_accuracy=accuracy(y * (grad + 1.0) + bias, y),
                 elapsed_ms=elapsed_ms,
                 objective=float(0.5 * alpha.sum() - 0.5 * alpha @ grad),
             )
         )
-        if accuracy_target is not None and acc >= accuracy_target:
-            break
     return alpha, bias, trace, converged, passes
 
 
-def smo_train(X, y, kernel, cfg, accuracy_target=None):
+def smo_train(X, y, kernel, cfg):
     """Solve the dual SVM by SMO; returns multipliers, bias and a trace.
 
     One trace row is recorded per pass with the dual objective and the
     training accuracy of the decisions y * (G + 1) + b; instrumentation is
     excluded from the recorded pass times, and kernel rows are evaluated
-    inside them. ``accuracy_target`` stops the solver after the first pass
-    whose training accuracy reaches the target (the result is then not
-    marked converged unless the gap also closed).
+    inside them.
     """
     y = np.asarray(y, dtype=float)
     _check_two_classes(y)
@@ -173,6 +168,6 @@ def smo_train(X, y, kernel, cfg, accuracy_target=None):
             rows[t] = np.ascontiguousarray(kernel_columns(x, y, kernel, [t])[:, 0])
         return rows[t]
 
-    alpha, bias, trace, converged, passes = _solve(row, y, cfg, accuracy_target)
+    alpha, bias, trace, converged, passes = _solve(row, y, cfg)
     return SmoResult(alpha=alpha, b=bias, trace=trace, converged=converged, passes=passes,
                      kernel_rows=len(rows))

@@ -1,38 +1,28 @@
 """Command-line runs end to end, on data the tests write themselves."""
 
+import argparse
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from admmsvm import cli
+from admmsvm.admm import AdmmConfig
 from admmsvm.data_io import Dataset, SplitSpec, split
-from admmsvm.svm import accuracy, decision_values, load_model
+from admmsvm.kernel import KernelParams, build_kernel_matrix
+from admmsvm.nystrom import NystromConfig, approximation_mse, nystrom_factor
+from admmsvm.smo import SmoConfig, smo_train
+from admmsvm.svm import accuracy, decision_values, load_model, support_model, train_nonlinear
 from admmsvm.synthetic import mnist_like
 
 
-def test_bench_convergence_cells_reach_target(tmp_path):
-    out = tmp_path / "bench.csv"
-    code = cli.main(["bench-convergence", "--sizes", "512",
-                     "--solvers", "efficient,smo", "--out", str(out)])
-    assert code == cli.EXIT_OK
-    with open(out, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [row["solver"] for row in rows] == ["efficient", "smo"]
-    for row in rows:
-        assert row["reached_target"] == "True"
-        assert float(row["final_accuracy"]) >= 0.95
-
-
-@pytest.mark.parametrize("solvers", ["reference", "efficient,reference", "smo,admm", ""])
-def test_bench_convergence_rejects_unknown_solvers_before_running(tmp_path, solvers):
-    out = tmp_path / "bench.csv"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bench-convergence", "--sizes", "512", "--solvers", solvers,
-                  "--out", str(out)])
-    assert exc.value.code == cli.EXIT_USAGE
-    assert not out.exists()
+def test_module_docstring_names_exactly_the_subcommands():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    summary = cli.__doc__.splitlines()[0].split(":", 1)[1]
+    assert set(re.findall(r"[a-z]+(?:-[a-z]+)*", summary)) - {"and"} == set(sub.choices)
 
 
 def _write_data(directory, x, y):
@@ -178,3 +168,133 @@ def test_zscore_is_fitted_on_the_training_rows_alone(tmp_path, monkeypatch):
     train, _ = split(Dataset(x=ds.x, y=ds.y), SplitSpec(0.5, seed=0))
     np.testing.assert_array_equal(sidecar["offset"], train.x.mean(axis=0))
     assert not np.allclose(sidecar["offset"], ds.x.mean(axis=0), rtol=0, atol=1e-6)
+
+
+def test_unopenable_data_and_model_paths_are_data_errors(tmp_path, monkeypatch):
+    ds = mnist_like(64)
+    _write_data(tmp_path, ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    # a path through a regular file raises NotADirectoryError, an OSError
+    assert cli.main(["train", "--data", "data.csv/x"]) == cli.EXIT_DATA
+    assert cli.main(["predict", "--model", "data.csv/m", "--data", "data.csv"]) == cli.EXIT_DATA
+    assert not (tmp_path / "predictions.csv").exists()
+
+
+def test_subset_size_alone_sets_the_default_rank(tmp_path, monkeypatch):
+    ds = mnist_like(300)
+    _write_data(tmp_path, ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--data", "data.csv", "--subset-size", "32"]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert (report["params"]["c"], report["params"]["r"]) == (32, 32)
+
+
+# --- approx-study ---------------------------------------------------------------
+
+STUDY_LAMBDA = 5.0  # on this data SMO's accuracy differs at C = 0.1, 1/5 and 5
+
+
+@pytest.fixture(scope="module")
+def study(tmp_path_factory):
+    """The data of one approx-study run, its exit code and its rows."""
+    root = tmp_path_factory.mktemp("study")
+    ds = mnist_like(256, seed=5)
+    data = root / "data.csv"
+    np.savetxt(data, np.column_stack([ds.x, ds.y]), delimiter=",", fmt="%.17g")
+    out = root / "study.csv"
+    code = cli.main(["approx-study", "--data", str(data), "--c-list", "32,8",
+                     "--r-list", "4,8,64", "--seeds", "0,1", "--lambda", str(STUDY_LAMBDA),
+                     "--out", str(out)])
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return ds, code, rows
+
+
+def test_study_writes_one_admm_row_per_valid_combination_then_one_smo_row(study):
+    _, code, rows = study
+    assert code == cli.EXIT_OK
+    assert [(row["solver"], row["c"], row["r"], row["seed"]) for row in rows] == [
+        ("admm", c, r, seed) for c, r in [("8", "4"), ("8", "8"), ("32", "4"), ("32", "8")]
+        for seed in ("0", "1")
+    ] + [("smo", "", "", "")]
+    assert all(row["converged"] == "True" for row in rows)
+    assert all(float(row["train_ms"]) > 0 for row in rows)
+
+
+def test_study_admm_rows_match_training_on_the_same_settings(study):
+    ds, _, rows = study
+    kernel = KernelParams(gamma=-1.0)
+    psi = build_kernel_matrix(ds.x, ds.y, kernel)
+    for row in rows[:-1]:
+        nys = NystromConfig(c=int(row["c"]), r=int(row["r"]), seed=int(row["seed"]))
+        report = train_nonlinear(ds.x, ds.y, kernel, nys, AdmmConfig(lambda_=STUDY_LAMBDA))
+        assert float(row["train_accuracy"]) == accuracy(decision_values(report.model, ds.x),
+                                                        ds.y)
+        assert int(row["iterations"]) == len(report.trace)
+        assert row["converged"] == str(report.converged)
+        factor = nystrom_factor(ds.x, ds.y, kernel, nys)
+        assert int(row["effective_rank"]) == factor.effective_rank == report.effective_rank
+        assert float(row["mse"]) == approximation_mse(psi, factor)
+
+
+def test_study_smo_row_is_smo_at_the_box_one_over_lambda(study):
+    ds, _, rows = study
+    kernel = KernelParams(gamma=-1.0)
+    result = smo_train(ds.x, ds.y, kernel, SmoConfig(c_box=1.0 / STUDY_LAMBDA))
+    model = support_model(ds.x, ds.y, np.arange(ds.n), result.alpha * ds.y, result.b, kernel)
+    smo_row = rows[-1]
+    assert int(smo_row["iterations"]) == result.passes
+    assert smo_row["converged"] == str(result.converged)
+    assert float(smo_row["train_accuracy"]) == result.trace.rows[-1].train_accuracy
+    assert float(smo_row["train_accuracy"]) == accuracy(decision_values(model, ds.x), ds.y)
+
+
+def test_study_truncates_the_factor_as_train_does(tmp_path, monkeypatch):
+    # repeated rows make the sampled block singular, so eig_tol drops eigenpairs
+    base = mnist_like(64, seed=5)
+    x, y = np.repeat(base.x, 4, axis=0), np.repeat(base.y, 4)
+    _write_data(tmp_path, x, y)
+    monkeypatch.chdir(tmp_path)
+    with pytest.warns(RuntimeWarning, match="truncated"):
+        code = cli.main(["approx-study", "--data", "data.csv", "--c-list", "32",
+                         "--r-list", "32"])
+    assert code == cli.EXIT_OK
+    with pytest.warns(RuntimeWarning, match="truncated"):
+        report = train_nonlinear(x, y, KernelParams(gamma=-1.0), NystromConfig(c=32, r=32),
+                                 AdmmConfig())
+    with open("approx_study.csv", newline="", encoding="utf-8") as fh:
+        row = next(csv.DictReader(fh))
+    assert int(row["effective_rank"]) == report.effective_rank < 32
+    assert float(row["train_accuracy"]) == accuracy(decision_values(report.model, x), y)
+
+
+def test_study_exits_4_when_a_row_does_not_converge(tmp_path, monkeypatch):
+    ds = mnist_like(128, seed=6)
+    _write_data(tmp_path, ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    argv = ["approx-study", "--data", "data.csv", "--c-list", "8", "--r-list", "8",
+            "--max-iters", "1"]
+    assert cli.main(argv) == cli.EXIT_NOT_CONVERGED
+    with open("approx_study.csv", newline="", encoding="utf-8") as fh:
+        assert [row["converged"] for row in csv.DictReader(fh)] == ["False", "True"]
+    assert cli.main(argv + ["--allow-nonconverged"]) == cli.EXIT_OK
+
+
+def test_study_without_a_valid_combination_is_a_usage_error(tmp_path, monkeypatch):
+    ds = mnist_like(64)
+    _write_data(tmp_path, ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["approx-study", "--data", "data.csv", "--c-list", "4,128",
+                     "--r-list", "8"])
+    assert code == cli.EXIT_USAGE
+    assert not (tmp_path / "approx_study.csv").exists()
+
+
+def test_study_refuses_more_than_8192_rows(tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    n = 8193
+    _write_data(tmp_path, rng.standard_normal((n, 1)), np.where(np.arange(n) % 2, 1.0, -1.0))
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["approx-study", "--data", "data.csv", "--c-list", "8", "--r-list", "8"])
+    assert code == cli.EXIT_USAGE
+    assert not (tmp_path / "approx_study.csv").exists()

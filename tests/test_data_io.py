@@ -76,7 +76,7 @@ def _outcome(load):
         return type(err), getattr(err, "line", None), getattr(err, "column", None)
     if isinstance(result, np.ndarray):
         return result.shape, result.tobytes()
-    return result.x.shape, result.x.tobytes(), result.y.tobytes(), result.feature_names
+    return result.x.shape, result.x.tobytes(), result.y.tobytes()
 
 
 def _both_paths(monkeypatch, load):
@@ -129,7 +129,6 @@ def test_block_and_cell_paths_agree_bitwise(tmp_path, monkeypatch, label_at, lab
     ds = load_delimited(path, label_column=label_at)
     assert ds.x.tobytes() == np.array(VALUES).tobytes()
     assert ds.y.tolist() == [1.0, -1.0, -1.0, 1.0]
-    assert ds.feature_names == (["f0", "f1", "f2"] if layout.get("header") else None)
 
 
 @pytest.mark.parametrize("layout", [{}, {"pad": " \t", "newline": "\r\n", "blank_lines": True}])

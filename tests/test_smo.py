@@ -71,16 +71,6 @@ def test_last_trace_accuracy_equals_model_accuracy():
     assert result.trace.rows[-1].train_accuracy == accuracy(decision_values(model, ds.x), ds.y)
 
 
-def test_accuracy_target_stops_early():
-    ds = mnist_like(256, seed=0)
-    full = smo_train(ds.x, ds.y, RBF, SmoConfig(kkt_tol=1e-9))
-    assert full.passes > 1
-    early = smo_train(ds.x, ds.y, RBF, SmoConfig(kkt_tol=1e-9), accuracy_target=0.5)
-    assert not early.converged
-    assert early.passes == 1
-    assert early.trace.rows[-1].train_accuracy >= 0.5
-
-
 def test_one_pass_is_at_most_n_pair_updates(monkeypatch):
     ds = mnist_like(256, seed=0)
     calls = []
