@@ -16,6 +16,12 @@ soft-threshold form bit for bit. The basis Q D^(-1/2) is formed once per
 solve: it folds into Z, and beta_tilde = Q D^(-1/2) S is formed from it
 only for the stop test.
 
+Z has the shape of W_tilde and is formed in place over it, so a solve
+holds one N x (p+1) design-sized array: :func:`solve_linear` copies its
+inputs into a fresh [w, y] buffer, and nonlinear training hands the solve
+core the buffer its Nystrom factor V was written into, reading the
+Nystrom MSE from V before the solve.
+
 The product Z S that each pass forms is still the vector of margins
 w_tilde_i . beta_tilde = y_i * (x_i . beta + beta0) of the current
 iterate, so the decision value of training row i is y_i times its margin,
@@ -33,6 +39,10 @@ from .errors import (
     RankDeficientError,
     SingleClassError,
 )
+
+# bytes of one row block of Z, formed in a scratch block then added over its rows of [w, y];
+# much smaller blocks cost time in per-block overhead
+_Z_BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -118,27 +128,31 @@ def build_system_matrix(w, y, lambda_, rho):
     return a
 
 
-def precompute_z(w, y, basis):
-    """Fold the signed rows and the inverted system matrix into Z = W_tilde Q D^(-1/2).
+def precompute_z(wy, basis):
+    """Overwrite W_tilde = [w, y] in ``wy`` with Z = W_tilde Q D^(-1/2), and return it.
 
     ``basis`` is Q D^(-1/2) from :func:`admmsvm.eigen.truncate_spectrum`.
     Z Z^T then equals W_tilde A^(-1) W_tilde^T, the constant matrix the
-    iteration applies each pass, but only N x (p+1) numbers are stored.
-    Z is w times the first p rows of the basis, plus its last row on the
-    rows where y = +1 and minus it where y = -1; both are done in place,
-    so Z is the only N x (p+1) array formed. Raises
+    iteration applies each pass. Each row block of about ``_Z_BLOCK_BYTES``
+    takes w times the first p rows of the basis in one scratch block, which
+    is added over y times the last row (exact, as y = +-1), so no second
+    N x (p+1) array is formed. Raises
     :class:`~admmsvm.errors.RankDeficientError` when the basis has fewer
     than p+1 columns, that is when the system matrix is singular.
     """
-    if basis.shape[1] < w.shape[1] + 1:
+    n, cols = wy.shape
+    if basis.shape[1] < cols:
         raise RankDeficientError(
             "system matrix is numerically singular; increase lambda or rho"
         )
-    z = w @ basis[:-1]
-    positive = (y > 0)[:, None]
-    np.add(z, basis[-1], out=z, where=positive)
-    np.subtract(z, basis[-1], out=z, where=~positive)
-    return z
+    rows = max(1, _Z_BLOCK_BYTES // (8 * cols))
+    scratch = np.empty((min(rows, n), cols))
+    for i in range(0, n, rows):
+        block = wy[i:i + rows]
+        z = np.matmul(block[:, :-1], basis[:-1], out=scratch[:block.shape[0]])
+        np.multiply(block[:, -1:], basis[-1], out=block)  # exactly +-basis[-1]
+        block += z
+    return wy
 
 
 def admm_step(z, state, rho):
@@ -183,33 +197,48 @@ def solve_linear(w, y, cfg, track_accuracy=False):
     """Train a linear SVM by ADMM on the signed rows ``w`` and labels ``y``.
 
     Row i of ``w`` is y_i x_i; the returned (beta, beta0) is the
-    hyperplane in x.
-    Set-up builds the system matrix, its eigendecomposition, the basis
-    Q D^(-1/2) and Z once; each pass is one :func:`admm_step`. The loop
-    stops when the squared change of beta_tilde = (beta, beta0) between
-    consecutive iterations is at most epsilon. The training accuracy of an
-    iterate is that of the decision values y * margins, where
-    margins = Z S; with ``track_accuracy`` it is recorded in every trace
-    row (outside the timed solver work), and the returned model always
-    carries it for the final iterate. Returns the model flagged ``converged=False`` when the
-    iteration cap is reached before the stop test passes.
+    hyperplane in x. The inputs are checked and copied into one
+    N x (p+1) buffer [w, y], which the solve overwrites with Z, so ``w``
+    is never written to. See :func:`_solve` for the iteration.
     """
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
     if w.ndim != 2 or y.shape != (w.shape[0],):
         raise ValueError(f"rows shape {w.shape} incompatible with labels shape {y.shape}")
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteError("features contain NaN or Inf")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
-    n, p = w.shape
+    wy = np.empty((w.shape[0], w.shape[1] + 1))
+    wy[:, :-1] = w
+    wy[:, -1] = y
+    return _solve(wy, cfg, track_accuracy)
+
+
+def _solve(wy, cfg, track_accuracy):
+    """The ADMM solve on the buffer ``wy`` = [w, y] of signed rows and labels.
+
+    Labels must be -1 or +1. Set-up builds the system matrix, its
+    eigendecomposition and the basis Q D^(-1/2), then overwrites ``wy``
+    with Z by :func:`precompute_z`; each pass is one :func:`admm_step`.
+    The loop stops when the squared change of beta_tilde = (beta, beta0)
+    between consecutive iterations is at most epsilon. The training
+    accuracy of an iterate is that of the decision values y * margins,
+    where margins = Z S; with ``track_accuracy`` it is recorded in every
+    trace row (outside the timed solver work), and the returned model
+    always carries it for the final iterate. Returns the model flagged
+    ``converged=False`` when the iteration cap is reached before the stop
+    test passes.
+    """
+    n, p = wy.shape[0], wy.shape[1] - 1
     if n < 2:
         raise ValueError("need at least two training samples")
+    if not np.all(np.isfinite(wy)):
+        raise NonFiniteError("features contain NaN or Inf")
+    y = wy[:, -1].copy()
     _check_two_classes(y)
     setup_start = time.perf_counter()
-    q, d = symmetric_evd(build_system_matrix(w, y, cfg.lambda_, cfg.rho))
+    q, d = symmetric_evd(build_system_matrix(wy[:, :-1], y, cfg.lambda_, cfg.rho))
     basis = truncate_spectrum(q, d, r=p + 1, eig_tol=0.0)
-    z = precompute_z(w, y, basis)
+    z = precompute_z(wy, basis)
     state = AdmmState(a_hat=np.zeros(n), u=np.zeros(n))
     setup_ms = (time.perf_counter() - setup_start) * 1e3
 

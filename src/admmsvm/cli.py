@@ -274,6 +274,9 @@ def cmd_approx_study(args):
     if not combos:
         raise InvalidCountError("no valid (c, r, seed) combinations: need r <= c <= N")
     psi = build_kernel_matrix(ds.x, ds.y, params)
+    # numpy loads numpy.random on first use, which the landmark sampling makes;
+    # loading it here keeps that import out of the first row's train_ms
+    import numpy.random  # noqa: F401
 
     rows = []
     for c, r, seed in combos:

@@ -37,8 +37,9 @@ from .errors import DimensionMismatchError, DuplicateIndexError, IndexOutOfRange
 # bytes of one block of centred training rows, and of its entries; sized to stay in cache
 _BLOCK_BUDGET_BYTES = 256 * 1024
 # bytes of one query block's centred rows and its distances to the feature rows;
-# training forms V through these blocks, and at p=784 a larger block than this
-# raises training's peak memory above that of the ADMM solve
+# training forms V through these blocks beside its one N x (r+1) buffer, so they
+# set its peak memory (the solve adds only N-vectors to that buffer); decision_values
+# uses the same blocks, and at 256 KiB its throughput fell 8%
 _SUMS_BUDGET_BYTES = 384 * 1024
 
 
@@ -108,11 +109,14 @@ def _rbf_in_place(d2, gamma):
     np.exp(d2, out=d2)
 
 
-def _rbf_sums(x, features, weights, gamma):
+def _rbf_sums(x, features, weights, gamma, out=None, overwrite_features=False):
     """sum_j weights[j] * exp(gamma * ||x_i - features_j||^2) for every row x_i of x.
 
     ``weights`` has shape (c,) or (c, r) for c feature rows; the result has
-    shape (N,) or (N, r), one column per column of weights. Each block of
+    shape (N,) or (N, r), one column per column of weights, and is written
+    into ``out`` when given (a view into a wider buffer will do). With
+    ``overwrite_features`` the feature rows are centred in place, so pass
+    only a copy the caller owns and no longer needs. Each block of
     query rows, sized by ``_SUMS_BUDGET_BYTES``, takes one matrix product:
     ||q - f||^2 = ||q||^2 + ||f||^2 - 2 q.f. Centring both sides on
     mu = mean(features) leaves every distance unchanged and keeps the
@@ -125,11 +129,12 @@ def _rbf_sums(x, features, weights, gamma):
     the same bits.
     """
     mu = features.mean(axis=0)
-    f = features - mu
+    f = np.subtract(features, mu, out=features if overwrite_features else None)
     f_sq = np.einsum("ij,ij->i", f, f)
     f *= -2.0  # exact, so q @ f.T is -2 q.f to the bit
     n, p = x.shape
-    out = np.empty((n, *weights.shape[1:]))
+    if out is None:
+        out = np.empty((n, *weights.shape[1:]))
     rows = max(1, _SUMS_BUDGET_BYTES // (8 * (p + f.shape[0])))
     q_buf = np.empty((min(rows, n), p))
     d2_buf = np.empty((min(rows, n), f.shape[0]))

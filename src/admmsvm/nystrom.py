@@ -72,20 +72,14 @@ def sample_subset(n, c, seed):
     return picked
 
 
-def nystrom_factor(X, y, params, cfg, subset=None):
-    """Build the Nystrom factor for the label-weighted kernel matrix.
+def _landmarks(x, y, params, cfg, subset):
+    """The landmark stage of :func:`nystrom_factor`: ``(m, x_m, W)`` for checked x, y.
 
-    Samples a subset M of size c (or uses the caller-provided ``subset``),
-    eigendecomposes the sampled block Psi_MM, truncates its spectrum to
-    rank r, and forms v = Psi[:, M] @ Q_k @ diag(d_k)^(-1/2) as the
-    weighted RBF sums y * (K(X, X_M) @ W). Here W = y_M * Q_k diag(d_k)^(-1/2)
-    is the basis of :func:`admmsvm.eigen.truncate_spectrum` with its rows
-    signed by the landmark labels, so the N-by-c columns Psi[:, M] are never
-    stored. Each entry of v is within the sums bound of :mod:`admmsvm.kernel`
-    taken with the column sums of |W|, which grow as d_k^(-1/2): the
-    amplification that the product with the stored columns had.
+    Everything before the sums that form V: the count checks, the subset M,
+    the EVD of Psi_MM, its truncation to rank r (with the warning) and the
+    landmark weights W. ``x_m`` is a fresh copy of the landmark rows, which
+    the caller may overwrite.
     """
-    x, y = _check_samples(X, y)
     n = x.shape[0]
     cfg.validate_against(n)
     if subset is None:
@@ -104,11 +98,29 @@ def nystrom_factor(X, y, params, cfg, subset=None):
             f"spectrum truncated to rank {weights.shape[1]} (requested {cfg.r}): "
             "near-zero eigenvalues dropped",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-
     weights *= y_m[:, None]
-    v = _rbf_sums(x, x_m, weights, params.gamma)
+    return m, x_m, weights
+
+
+def nystrom_factor(X, y, params, cfg, subset=None):
+    """Build the Nystrom factor for the label-weighted kernel matrix.
+
+    Samples a subset M of size c (or uses the caller-provided ``subset``),
+    eigendecomposes the sampled block Psi_MM, truncates its spectrum to
+    rank r, and forms v = Psi[:, M] @ Q_k @ diag(d_k)^(-1/2) as the
+    weighted RBF sums y * (K(X, X_M) @ W). Here W = y_M * Q_k diag(d_k)^(-1/2)
+    is the basis of :func:`admmsvm.eigen.truncate_spectrum` with its rows
+    signed by the landmark labels, so the N-by-c columns Psi[:, M] are never
+    stored. Each entry of v is within the sums bound of :mod:`admmsvm.kernel`
+    taken with the column sums of |W|, which grow as d_k^(-1/2): the
+    amplification that the product with the stored columns had. The
+    returned arrays are read-only.
+    """
+    x, y = _check_samples(X, y)
+    m, x_m, weights = _landmarks(x, y, params, cfg, subset)
+    v = _rbf_sums(x, x_m, weights, params.gamma, overwrite_features=True)
     v *= y[:, None]
     for arr in (v, m, weights):
         arr.flags.writeable = False

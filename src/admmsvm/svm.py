@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import ConvergenceTrace, solve_linear
+from .admm import ConvergenceTrace, _solve
 from .admm import accuracy  # noqa: F401  (re-exported as svm.accuracy)
 from .errors import DimensionMismatchError, MalformedModelFileError
-from .kernel import KernelParams, _rbf_sums, build_kernel_matrix
-from .nystrom import approximation_mse, nystrom_factor
+from .kernel import KernelParams, _check_samples, _rbf_sums, build_kernel_matrix
+from .nystrom import NystromFactor, _landmarks, approximation_mse
 
 SUPPORT_DROP_TOL = 1e-12
 
@@ -64,33 +64,42 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
                     track_accuracy=False):
     """Train a nonlinear SVM through the low-rank linear reformulation.
 
-    Steps: Nystrom factor V; linear ADMM solve on the design Y V, whose
-    signed rows y_i (y_i v_i) are V itself, so V is passed with no copy;
-    recovery of the label-weighted dual weights on the sampled subset as
+    Steps: the Nystrom factor V, written into the first columns of one
+    N x (r+1) buffer whose last column is y, so the buffer holds the
+    design [V, y] of the linear problem on Y V (its signed rows y_i (y_i v_i)
+    are V itself); the linear ADMM solve, which overwrites the buffer with
+    Z, so training holds one design-sized array; recovery of the
+    label-weighted dual weights on the sampled subset as
     y_M * alpha_M = W beta, with the factor's landmark weights
     W = y_M * Q_k D_k^(-1/2); support entries below ``SUPPORT_DROP_TOL`` in
-    magnitude are dropped.
+    magnitude are dropped. With ``compute_mse`` the Nystrom MSE is read
+    from V before the solve.
 
     Psi[:, M] alpha_M = V beta, so the decision value at training sample i
     is y_i (V beta)_i + bias, which is y_i times the solver's margin. The
     reported training accuracy is the solver's, from those margins;
     ``track_accuracy`` also records it at every iteration of the trace.
     """
-    x = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    factor = nystrom_factor(x, y, kernel, nys, subset=subset)
-    linear = solve_linear(factor.v, y, admm, track_accuracy=track_accuracy)
-    model = support_model(x, y, factor.m, factor.weights @ linear.beta, linear.beta0, kernel)
+    x, y = _check_samples(X, y)
+    m, x_m, weights = _landmarks(x, y, kernel, nys, subset)
+    rank = weights.shape[1]
+    wy = np.empty((x.shape[0], rank + 1))
+    _rbf_sums(x, x_m, weights, kernel.gamma, out=wy[:, :rank], overwrite_features=True)
+    wy[:, rank] = 1.0
+    wy *= y[:, None]  # [V, y]; scaling the contiguous buffer is twice as fast as its strided V
 
     mse = None
     if compute_mse:
-        mse = approximation_mse(build_kernel_matrix(x, y, kernel), factor)
+        v = wy[:, :rank]
+        mse = approximation_mse(build_kernel_matrix(x, y, kernel), NystromFactor(v, m, weights))
+    linear = _solve(wy, admm, track_accuracy)
+    model = support_model(x, y, m, weights @ linear.beta, linear.beta0, kernel)
     return TrainReport(
         model=model,
         trace=linear.trace,
         train_accuracy=linear.train_accuracy,
         converged=linear.converged,
-        effective_rank=factor.effective_rank,
+        effective_rank=rank,
         nystrom_mse=mse,
     )
 

@@ -184,3 +184,29 @@ def test_design_rejects_labels_other_than_plus_minus_one(labels):
 def test_design_rejects_rows_and_labels_of_different_lengths():
     with pytest.raises(ValueError):
         solve_linear(np.zeros((4, 2)), np.array([1.0, -1.0, 1.0]), AdmmConfig())
+
+
+def test_solve_does_not_write_to_its_rows_or_labels():
+    w, y = (np.array(a) for a in nystrom_design(256))
+    assert w.flags.writeable
+    before = w.tobytes(), y.tobytes()
+    solve_linear(w, y, AdmmConfig())
+    assert (w.tobytes(), y.tobytes()) == before
+
+
+@pytest.mark.parametrize("blocks", [0.5, 3.4], ids=["under_one_block", "partial_last_block"])
+def test_z_formed_in_place_equals_the_whole_product(blocks):
+    w, y = nystrom_design(512)
+    rows = admm._Z_BLOCK_BYTES // (8 * (w.shape[1] + 1))
+    n = int(blocks * rows)
+    assert n % rows and n <= 512
+    w, y = w[:n], y[:n]
+    cfg = AdmmConfig()
+    q, d = symmetric_evd(build_system_matrix(w, y, cfg.lambda_, cfg.rho))
+    basis = truncate_spectrum(q, d, r=d.shape[0], eig_tol=0.0)
+    # one product over all rows, then +-basis[-1] by label: Z before it was formed in blocks
+    expected = w @ basis[:-1] + y[:, None] * basis[-1]
+    wy = np.column_stack([w, y])
+    z = admm.precompute_z(wy, basis)
+    assert z is wy
+    assert z.tobytes() == expected.tobytes()

@@ -3,11 +3,15 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import admmsvm
 from admmsvm import cli
 from admmsvm.admm import AdmmConfig
 from admmsvm.data_io import Dataset, SplitSpec, split
@@ -266,6 +270,31 @@ def test_study_truncates_the_factor_as_train_does(tmp_path, monkeypatch):
         row = next(csv.DictReader(fh))
     assert int(row["effective_rank"]) == report.effective_rank < 32
     assert float(row["train_accuracy"]) == accuracy(decision_values(report.model, x), y)
+
+
+def test_study_times_its_rows_after_numpy_random_loads(tmp_path):
+    # numpy loads numpy.random on first use; the first row's train_ms must not carry it
+    ds = mnist_like(64)
+    _write_data(tmp_path, ds.x, ds.y)
+    code = (
+        "import sys\n"
+        "from admmsvm import cli\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "loaded, factor = [], cli.nystrom_factor\n"
+        "def recording(*args, **kwargs):\n"
+        "    loaded.append('numpy.random' in sys.modules)\n"
+        "    return factor(*args, **kwargs)\n"
+        "cli.nystrom_factor = recording\n"
+        "argv = ['approx-study', '--data', 'data.csv', '--c-list', '8', '--r-list', '8']\n"
+        "assert cli.main(argv) == cli.EXIT_OK\n"
+        "assert loaded == [True], loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(admmsvm.__file__)))
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_study_exits_4_when_a_row_does_not_converge(tmp_path, monkeypatch):

@@ -272,3 +272,14 @@ def test_landmark_duals_are_the_weights_times_beta():
     assert np.all(np.abs(alpha) > SUPPORT_DROP_TOL)
     np.testing.assert_allclose(model.alpha_weighted * model.labels, alpha, rtol=0,
                                atol=1e-14 * np.abs(alpha).sum())
+
+
+def test_factor_stays_intact_and_read_only_after_training():
+    ds = mnist_like(256, seed=4)
+    nys = NystromConfig(c=32, r=32, seed=1)
+    factor = nystrom_factor(ds.x, ds.y, PARAMS, nys)
+    v = factor.v.copy()
+    train_nonlinear(ds.x, ds.y, PARAMS, nys, AdmmConfig())
+    solve_linear(factor.v, ds.y, AdmmConfig())
+    assert factor.v.tobytes() == v.tobytes()
+    assert not any(arr.flags.writeable for arr in (factor.v, factor.m, factor.weights))

@@ -1,5 +1,6 @@
-"""Nonlinear training: the in-sample accuracy against the final model, and training's memory."""
+"""Nonlinear training: the solve core it shares, the in-sample accuracy, and its memory."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -9,11 +10,48 @@ import numpy as np
 import pytest
 
 import admmsvm
-from admmsvm.admm import AdmmConfig
+from admmsvm.admm import AdmmConfig, solve_linear
 from admmsvm.kernel import KernelParams, build_kernel_matrix
 from admmsvm.nystrom import NystromConfig, nystrom_factor
-from admmsvm.svm import accuracy, decision_values, train_nonlinear
+from admmsvm.svm import accuracy, decision_values, support_model, train_nonlinear
 from admmsvm.synthetic import mnist_like
+
+
+@pytest.mark.parametrize("case", ["full_rank", "truncated", "wide"])
+def test_training_equals_factor_then_solve_then_recovery(case):
+    if case == "truncated":  # repeated rows make the sampled block singular
+        base = mnist_like(64, seed=5)
+        x, y = np.repeat(base.x, 4, axis=0), np.repeat(base.y, 4)
+    else:
+        ds = mnist_like(256, p=784 if case == "wide" else 64, seed=2)
+        x, y = ds.x, ds.y
+    kernel, nys, cfg = KernelParams(gamma=-1.0), NystromConfig(c=32, r=32), AdmmConfig()
+    with pytest.warns(RuntimeWarning) if case == "truncated" else contextlib.nullcontext():
+        report = train_nonlinear(x, y, kernel, nys, cfg, track_accuracy=True)
+        factor = nystrom_factor(x, y, kernel, nys)
+    assert (factor.effective_rank < 32) == (case == "truncated")
+    linear = solve_linear(factor.v, y, cfg, track_accuracy=True)
+    model = support_model(x, y, factor.m, factor.weights @ linear.beta, linear.beta0, kernel)
+    for name in ("indices", "alpha_weighted", "labels", "features"):
+        assert getattr(report.model, name).tobytes() == getattr(model, name).tobytes()
+    assert report.model.bias == model.bias
+    assert report.effective_rank == factor.effective_rank
+    assert (report.converged, report.train_accuracy) == (linear.converged, linear.train_accuracy)
+    assert ([(row.u_residual, row.beta_residual, row.train_accuracy) for row in report.trace.rows]
+            == [(row.u_residual, row.beta_residual, row.train_accuracy)
+                for row in linear.trace.rows])
+
+
+def test_training_and_prediction_leave_the_inputs_and_features_intact():
+    ds = mnist_like(256, p=784)
+    x = ds.x.copy()
+    model = train_nonlinear(x, ds.y, KernelParams(gamma=-1.0), NystromConfig(c=32, r=32),
+                            AdmmConfig()).model
+    assert x.tobytes() == ds.x.tobytes()
+    np.testing.assert_array_equal(model.features, x[model.indices])
+    features = model.features.copy()
+    decision_values(model, x)
+    assert model.features.tobytes() == features.tobytes()
 
 
 def test_last_trace_accuracy_equals_model_accuracy():
@@ -61,8 +99,9 @@ def test_training_holds_few_design_sized_arrays(p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # V and Z, each about N x (r+1), with no temporary beside Z
-    assert peak <= 2.5 * n * (r + 1) * 8
+    # one N x (r+1) buffer holds [V, y] and then Z; beside it, the factor's
+    # sum blocks (and at p=784 its landmark rows) or the solver's N-vectors
+    assert peak <= {64: 1.75, 784: 2.0}[p] * n * (r + 1) * 8
 
 
 def test_training_imports_no_numpy_ma():
