@@ -19,8 +19,7 @@ only for the stop test.
 Z has the shape of W_tilde and is formed in place over it, so a solve
 holds one N x (p+1) design-sized array: :func:`solve_linear` copies its
 inputs into a fresh [w, y] buffer, and nonlinear training hands the solve
-core the buffer its Nystrom factor V was written into, reading the
-Nystrom MSE from V before the solve.
+core the [V, y] buffer that its Nystrom factor V was written into.
 
 The product Z S that each pass forms is still the vector of margins
 w_tilde_i . beta_tilde = y_i * (x_i . beta + beta0) of the current
@@ -55,8 +54,8 @@ class AdmmConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.lambda_ <= 0 or self.rho <= 0 or self.epsilon <= 0:
-            raise ValueError("lambda_, rho and epsilon must all be positive")
+        if not all(0 < v < np.inf for v in (self.lambda_, self.rho, self.epsilon)):
+            raise ValueError("lambda_, rho and epsilon must all be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

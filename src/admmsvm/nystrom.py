@@ -10,7 +10,9 @@ W = y_M * Q_k D_k^(-1/2), for the k eigenpairs kept, and uses it twice:
 V = Psi[:, M] Q_k D_k^(-1/2) = y * (K(X, X_M) W) is formed as weighted RBF
 sums against the landmarks, without storing the N-by-c kernel columns
 Psi[:, M]; and the weights beta of the linear solve on V map to the
-label-weighted landmark duals as y_M * alpha_M = W beta.
+label-weighted landmark duals as y_M * alpha_M = W beta. V is formed in one
+place, into one N x (k+1) buffer [V, y]: training solves on that buffer,
+and :func:`nystrom_factor` returns a read-only view of its V columns.
 """
 
 import warnings
@@ -72,13 +74,15 @@ def sample_subset(n, c, seed):
     return picked
 
 
-def _landmarks(x, y, params, cfg, subset):
-    """The landmark stage of :func:`nystrom_factor`: ``(m, x_m, W)`` for checked x, y.
+def _design(x, y, params, cfg, subset):
+    """The factor of :func:`nystrom_factor` as ``(m, W, wy)`` for checked x, y.
 
-    Everything before the sums that form V: the count checks, the subset M,
-    the EVD of Psi_MM, its truncation to rank r (with the warning) and the
-    landmark weights W. ``x_m`` is a fresh copy of the landmark rows, which
-    the caller may overwrite.
+    The one place V is formed: the count checks, the subset M, the EVD of
+    Psi_MM, its truncation to rank r (with the warning) and the landmark
+    weights W, then V written by the weighted RBF sums into the first
+    columns of one N x (k+1) buffer ``wy`` whose last column is y, so
+    ``wy`` = [V, y] is the design of the linear problem on Y V (its signed
+    rows y_i (y_i v_i) are V itself). The caller owns ``wy``.
     """
     n = x.shape[0]
     cfg.validate_against(n)
@@ -93,15 +97,20 @@ def _landmarks(x, y, params, cfg, subset):
     x_m, y_m = x[m], y[m]
     q, d = symmetric_evd(build_kernel_matrix(x_m, y_m, params))
     weights = truncate_spectrum(q, d, cfg.r, cfg.eig_tol)
-    if weights.shape[1] < cfg.r:
+    rank = weights.shape[1]
+    if rank < cfg.r:
         warnings.warn(
-            f"spectrum truncated to rank {weights.shape[1]} (requested {cfg.r}): "
+            f"spectrum truncated to rank {rank} (requested {cfg.r}): "
             "near-zero eigenvalues dropped",
             RuntimeWarning,
             stacklevel=3,
         )
     weights *= y_m[:, None]
-    return m, x_m, weights
+    wy = np.empty((n, rank + 1))
+    _rbf_sums(x, x_m, weights, params.gamma, out=wy[:, :rank], overwrite_features=True)
+    wy[:, rank] = 1.0
+    wy *= y[:, None]  # [V, y]; scaling the contiguous buffer is twice as fast as its strided V
+    return m, weights, wy
 
 
 def nystrom_factor(X, y, params, cfg, subset=None):
@@ -115,16 +124,16 @@ def nystrom_factor(X, y, params, cfg, subset=None):
     signed by the landmark labels, so the N-by-c columns Psi[:, M] are never
     stored. Each entry of v is within the sums bound of :mod:`admmsvm.kernel`
     taken with the column sums of |W|, which grow as d_k^(-1/2): the
-    amplification that the product with the stored columns had. The
-    returned arrays are read-only.
+    amplification that the product with the stored columns had. ``v`` is
+    the first k columns of the same [V, y] buffer that training hands to
+    its solve, so it has the bits training solves on. The returned arrays
+    are read-only, and so is the buffer behind ``v``.
     """
     x, y = _check_samples(X, y)
-    m, x_m, weights = _landmarks(x, y, params, cfg, subset)
-    v = _rbf_sums(x, x_m, weights, params.gamma, overwrite_features=True)
-    v *= y[:, None]
-    for arr in (v, m, weights):
+    m, weights, wy = _design(x, y, params, cfg, subset)
+    for arr in (wy, m, weights):
         arr.flags.writeable = False
-    return NystromFactor(v=v, m=m, weights=weights)
+    return NystromFactor(v=wy[:, :-1], m=m, weights=weights)
 
 
 def approximation_mse(psi, factor):

@@ -37,8 +37,8 @@ class SmoConfig:
     max_passes: int = 200
 
     def __post_init__(self):
-        if self.c_box <= 0 or self.kkt_tol <= 0 or self.max_passes < 1:
-            raise ValueError("c_box, kkt_tol and max_passes must be positive")
+        if not all(0 < v < np.inf for v in (self.c_box, self.kkt_tol)) or self.max_passes < 1:
+            raise ValueError("c_box and kkt_tol must be finite and positive, max_passes at least 1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,8 +15,8 @@ import numpy as np
 from .admm import ConvergenceTrace, _solve
 from .admm import accuracy  # noqa: F401  (re-exported as svm.accuracy)
 from .errors import DimensionMismatchError, MalformedModelFileError
-from .kernel import KernelParams, _check_samples, _rbf_sums, build_kernel_matrix
-from .nystrom import NystromFactor, _landmarks, approximation_mse
+from .kernel import KernelParams, _check_samples, _rbf_sums
+from .nystrom import _design
 
 SUPPORT_DROP_TOL = 1e-12
 
@@ -57,23 +57,19 @@ class TrainReport:
     train_accuracy: float
     converged: bool
     effective_rank: int
-    nystrom_mse: float | None = None
 
 
-def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
-                    track_accuracy=False):
+def train_nonlinear(X, y, kernel, nys, admm, subset=None, track_accuracy=False):
     """Train a nonlinear SVM through the low-rank linear reformulation.
 
-    Steps: the Nystrom factor V, written into the first columns of one
-    N x (r+1) buffer whose last column is y, so the buffer holds the
-    design [V, y] of the linear problem on Y V (its signed rows y_i (y_i v_i)
-    are V itself); the linear ADMM solve, which overwrites the buffer with
-    Z, so training holds one design-sized array; recovery of the
-    label-weighted dual weights on the sampled subset as
-    y_M * alpha_M = W beta, with the factor's landmark weights
-    W = y_M * Q_k D_k^(-1/2); support entries below ``SUPPORT_DROP_TOL`` in
-    magnitude are dropped. With ``compute_mse`` the Nystrom MSE is read
-    from V before the solve.
+    Steps: the Nystrom design [V, y], one N x (r+1) buffer from
+    :func:`admmsvm.nystrom._design` (the same V that
+    :func:`admmsvm.nystrom.nystrom_factor` returns); the linear ADMM solve
+    on Y V, which overwrites the buffer with Z, so training holds one
+    design-sized array; recovery of the label-weighted dual weights on the
+    sampled subset as y_M * alpha_M = W beta, with the factor's landmark
+    weights W = y_M * Q_k D_k^(-1/2); support entries below
+    ``SUPPORT_DROP_TOL`` in magnitude are dropped.
 
     Psi[:, M] alpha_M = V beta, so the decision value at training sample i
     is y_i (V beta)_i + bias, which is y_i times the solver's margin. The
@@ -81,17 +77,7 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
     ``track_accuracy`` also records it at every iteration of the trace.
     """
     x, y = _check_samples(X, y)
-    m, x_m, weights = _landmarks(x, y, kernel, nys, subset)
-    rank = weights.shape[1]
-    wy = np.empty((x.shape[0], rank + 1))
-    _rbf_sums(x, x_m, weights, kernel.gamma, out=wy[:, :rank], overwrite_features=True)
-    wy[:, rank] = 1.0
-    wy *= y[:, None]  # [V, y]; scaling the contiguous buffer is twice as fast as its strided V
-
-    mse = None
-    if compute_mse:
-        v = wy[:, :rank]
-        mse = approximation_mse(build_kernel_matrix(x, y, kernel), NystromFactor(v, m, weights))
+    m, weights, wy = _design(x, y, kernel, nys, subset)
     linear = _solve(wy, admm, track_accuracy)
     model = support_model(x, y, m, weights @ linear.beta, linear.beta0, kernel)
     return TrainReport(
@@ -99,8 +85,7 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, compute_mse=False,
         trace=linear.trace,
         train_accuracy=linear.train_accuracy,
         converged=linear.converged,
-        effective_rank=rank,
-        nystrom_mse=mse,
+        effective_rank=weights.shape[1],
     )
 
 
@@ -156,7 +141,11 @@ def save_model(model, sink, fmt="binary"):
 
 
 def load_model(source):
-    """Load a model saved by :func:`save_model`; sniffs binary vs JSON."""
+    """Load a model saved by :func:`save_model`; sniffs binary vs JSON.
+
+    Raises :class:`~admmsvm.errors.MalformedModelFileError` for a file that
+    does not decode, or whose bias, weights or features are not all finite.
+    """
     with open(source, "rb") as fh:
         blob = fh.read()
     if blob[:1] == b"{":
@@ -164,8 +153,13 @@ def load_model(source):
             payload = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise MalformedModelFileError(f"invalid JSON model file: {exc}") from exc
-        return _from_json_dict(payload)
-    return _from_binary(blob)
+        model = _from_json_dict(payload)
+    else:
+        model = _from_binary(blob)
+    if not (np.isfinite(model.bias) and np.isfinite(model.alpha_weighted).all()
+            and np.isfinite(model.features).all()):
+        raise MalformedModelFileError("model file holds a non-finite bias, weight or feature")
+    return model
 
 
 def _entry_dtype(p):

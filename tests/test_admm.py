@@ -151,6 +151,8 @@ def test_traced_accuracy_scores_each_iterate():
 @pytest.mark.parametrize("field, value", [
     ("lambda_", 0.0), ("lambda_", -1.0), ("rho", 0.0), ("rho", -1.0),
     ("epsilon", 0.0), ("epsilon", -1e-6), ("max_iters", 0),
+    ("lambda_", np.nan), ("lambda_", np.inf), ("rho", np.nan), ("rho", np.inf),
+    ("epsilon", np.nan), ("epsilon", np.inf),
 ])
 def test_config_rejects_out_of_range_settings(field, value):
     with pytest.raises(ValueError):

@@ -18,7 +18,15 @@ from admmsvm.data_io import Dataset, SplitSpec, split
 from admmsvm.kernel import KernelParams, build_kernel_matrix
 from admmsvm.nystrom import NystromConfig, approximation_mse, nystrom_factor
 from admmsvm.smo import SmoConfig, smo_train
-from admmsvm.svm import accuracy, decision_values, load_model, support_model, train_nonlinear
+from admmsvm.svm import (
+    NonlinearModel,
+    accuracy,
+    decision_values,
+    load_model,
+    save_model,
+    support_model,
+    train_nonlinear,
+)
 from admmsvm.synthetic import mnist_like
 
 
@@ -50,6 +58,30 @@ def test_train_rejects_a_zero_rho(tmp_path, monkeypatch):
     assert not (tmp_path / "model.svm").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "nan"], ["--lambda", "inf"], ["--rho", "inf"], ["--epsilon", "nan"],
+    ["--path", "smo", "--kkt-tol", "nan"], ["--path", "smo", "--c-box", "inf"],
+], ids=" ".join)
+def test_train_rejects_non_finite_solver_settings(tmp_path, monkeypatch, flags):
+    ds = mnist_like(64)
+    _write_data(tmp_path, ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--data", "data.csv", *flags]) == cli.EXIT_USAGE
+    assert not (tmp_path / "model.svm").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rank", "0"], ["--rank", "70", "--subset-size", "64"], ["--subset-size", "300"],
+    ["--rank", "300"],
+], ids=" ".join)
+def test_train_rejects_rank_settings_outside_r_le_c_le_n(tmp_path, monkeypatch, flags):
+    ds = mnist_like(200)
+    _write_data(tmp_path, ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--data", "data.csv", *flags]) == cli.EXIT_USAGE
+    assert not (tmp_path / "model.svm").exists()
+
+
 @pytest.mark.parametrize("path", cli.SOLVERS)
 def test_single_class_training_data_is_a_data_error(tmp_path, monkeypatch, path):
     rng = np.random.default_rng(0)
@@ -71,6 +103,33 @@ def test_train_with_default_flags_converges(tmp_path, monkeypatch):
     with open(tmp_path / "trace.csv", newline="", encoding="utf-8") as fh:
         last = list(csv.DictReader(fh))[-1]
     assert float(last["train_accuracy"]) == report["train_accuracy"]
+
+
+def _cells(cell):
+    return None if cell == "" else float(cell)
+
+
+@pytest.mark.parametrize("path", cli.SOLVERS)
+def test_trace_csv_holds_every_field_of_the_trace_rows(tmp_path, monkeypatch, path):
+    ds = mnist_like(256, seed=3)
+    _write_data(tmp_path, ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--data", "data.csv", "--path", path]) == cli.EXIT_OK
+    with open("trace.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        written = list(reader)
+    assert reader.fieldnames == ["iteration", "u_residual", "beta_residual", "train_accuracy",
+                                 "elapsed_ms", "objective"]
+    kernel = KernelParams(gamma=-1.0)
+    if path == "smo":  # the dual objective of every pass, and no ADMM residuals
+        trace = smo_train(ds.x, ds.y, kernel, SmoConfig()).trace
+    else:  # the ADMM columns as before, and no objective
+        trace = train_nonlinear(ds.x, ds.y, kernel, NystromConfig(c=64, r=64), AdmmConfig(),
+                                track_accuracy=True).trace
+    names = ["iteration", "u_residual", "beta_residual", "train_accuracy", "objective"]
+    assert ([[_cells(row[name]) for name in names] for row in written]
+            == [[getattr(row, name) for name in names] for row in trace.rows])
+    assert all(float(row["elapsed_ms"]) > 0 for row in written)
 
 
 @pytest.mark.parametrize("path, settings", [
@@ -174,6 +233,20 @@ def test_zscore_is_fitted_on_the_training_rows_alone(tmp_path, monkeypatch):
     assert not np.allclose(sidecar["offset"], ds.x.mean(axis=0), rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("fmt, bias, weight", [("binary", np.nan, 1.0), ("json", 0.0, np.inf)])
+def test_predict_rejects_a_model_with_non_finite_values(tmp_path, monkeypatch, fmt, bias,
+                                                        weight):
+    ds = mnist_like(64, p=32)
+    _write_data(tmp_path, ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    model = NonlinearModel(indices=np.array([0]), alpha_weighted=np.array([weight]),
+                           labels=ds.y[:1], features=ds.x[:1], bias=bias,
+                           kernel=KernelParams(gamma=-1.0))
+    save_model(model, "model.svm", fmt=fmt)
+    assert cli.main(["predict", "--model", "model.svm", "--data", "data.csv"]) == cli.EXIT_DATA
+    assert not (tmp_path / "predictions.csv").exists()
+
+
 def test_unopenable_data_and_model_paths_are_data_errors(tmp_path, monkeypatch):
     ds = mnist_like(64)
     _write_data(tmp_path, ds.x, ds.y)
@@ -259,10 +332,11 @@ def test_study_truncates_the_factor_as_train_does(tmp_path, monkeypatch):
     x, y = np.repeat(base.x, 4, axis=0), np.repeat(base.y, 4)
     _write_data(tmp_path, x, y)
     monkeypatch.chdir(tmp_path)
-    with pytest.warns(RuntimeWarning, match="truncated"):
+    with pytest.warns(RuntimeWarning, match="truncated") as caught:
         code = cli.main(["approx-study", "--data", "data.csv", "--c-list", "32",
                          "--r-list", "32"])
     assert code == cli.EXIT_OK
+    assert len(caught) == 1  # one warning for the one row, though its MSE re-forms the factor
     with pytest.warns(RuntimeWarning, match="truncated"):
         report = train_nonlinear(x, y, KernelParams(gamma=-1.0), NystromConfig(c=32, r=32),
                                  AdmmConfig())
@@ -280,11 +354,11 @@ def test_study_times_its_rows_after_numpy_random_loads(tmp_path):
         "import sys\n"
         "from admmsvm import cli\n"
         "assert 'numpy.random' not in sys.modules\n"
-        "loaded, factor = [], cli.nystrom_factor\n"
+        "loaded, train = [], cli.train_nonlinear\n"
         "def recording(*args, **kwargs):\n"
         "    loaded.append('numpy.random' in sys.modules)\n"
-        "    return factor(*args, **kwargs)\n"
-        "cli.nystrom_factor = recording\n"
+        "    return train(*args, **kwargs)\n"
+        "cli.train_nonlinear = recording\n"
         "argv = ['approx-study', '--data', 'data.csv', '--c-list', '8', '--r-list', '8']\n"
         "assert cli.main(argv) == cli.EXIT_OK\n"
         "assert loaded == [True], loaded\n"

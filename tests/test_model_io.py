@@ -106,6 +106,15 @@ def test_every_truncation_is_malformed(tmp_path):
     json.dumps({"format": "admmsvm-model", "version": 1, "gamma": -1.0, "bias": 0.0,
                 "support": [{"index": 10 ** 30, "alpha_weighted": 1.0, "label": 1,
                              "features": ["a"]}]}).encode(),
+    # decodable, but a non-finite bias, weight or feature would make every prediction NaN
+    b"ADMMSVM\x00" + struct.pack("<IddII", 1, -1.0, float("nan"), 0, 3),
+    b"ADMMSVM\x00" + struct.pack("<IddII", 1, -1.0, 0.0, 1, 1)
+    + struct.pack("<IdBd", 0, 1.0, 1, float("-inf")),
+    json.dumps({"format": "admmsvm-model", "version": 1, "gamma": -1.0, "bias": 0.0,
+                "support": [{"index": 0, "alpha_weighted": float("inf"), "label": 1,
+                             "features": [1.0]}]}).encode(),
+    json.dumps({"format": "admmsvm-model", "version": 1, "gamma": -1.0, "bias": float("nan"),
+                "support": []}).encode(),
 ])
 def test_garbage_files_are_malformed(tmp_path, blob):
     path = tmp_path / "bad.svm"

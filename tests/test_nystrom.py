@@ -1,5 +1,7 @@
 """Nystrom factorization: sampling, exactness, MSE behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,22 @@ def test_mse_matches_double_loop():
     assert approximation_mse(psi, factor) == pytest.approx(total / 100.0)
 
 
+def test_mse_holds_one_kernel_matrix():
+    n = 2048
+    ds = mnist_like(n)
+    tracemalloc.start()
+    try:
+        factor = nystrom_factor(ds.x, ds.y, PARAMS, NystromConfig(c=64, r=64))
+        mse = approximation_mse(build_kernel_matrix(ds.x, ds.y, PARAMS), factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8
+    v = factor.v
+    dense = np.mean((build_kernel_matrix(ds.x, ds.y, PARAMS) - v @ v.T) ** 2)
+    assert mse == pytest.approx(dense, rel=1e-12)
+
+
 def test_mse_dimension_mismatch():
     x, y = make_data(6, seed=2)
     psi = build_kernel_matrix(x, y, PARAMS)
@@ -283,3 +301,5 @@ def test_factor_stays_intact_and_read_only_after_training():
     solve_linear(factor.v, ds.y, AdmmConfig())
     assert factor.v.tobytes() == v.tobytes()
     assert not any(arr.flags.writeable for arr in (factor.v, factor.m, factor.weights))
+    with pytest.raises(ValueError):  # nor can v be made writeable again
+        factor.v.flags.writeable = True

@@ -167,3 +167,13 @@ def test_training_peak_memory_stays_far_below_the_matrix():
         tracemalloc.stop()
     assert result.converged
     assert peak <= 8e6
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c_box", 0.0), ("c_box", -1.0), ("c_box", np.nan), ("c_box", np.inf),
+    ("kkt_tol", 0.0), ("kkt_tol", -1e-3), ("kkt_tol", np.nan), ("kkt_tol", np.inf),
+    ("max_passes", 0),
+])
+def test_config_rejects_out_of_range_settings(field, value):
+    with pytest.raises(ValueError):
+        SmoConfig(**{field: value})
