@@ -6,8 +6,9 @@ the Nystrom factor's effective rank and MSE, the iterations and the
 accuracy; its last row is exact-kernel SMO on the same problem, at the box
 C = 1/lambda.
 
-Exit codes: 0 success, 1 internal error, 2 invalid flags or configuration,
-3 data or model-file error (a file that cannot be opened included), 4 a
+Exit codes: 0 success, 1 internal error, 2 invalid flags or configuration
+(a lambda or rho that leaves the ADMM system matrix singular included), 3
+data or model-file error (a file that cannot be opened included), 4 a
 solver finished without converging (in approx-study, the solver of any
 row) and --allow-nonconverged was not set. Dataset paths that do not exist
 are also resolved against the directory named by the ADMMSVM_DATA_DIR
@@ -49,6 +50,7 @@ from .errors import (
     NonAscendingIndexError,
     NotBinaryError,
     ParseError,
+    RankDeficientError,
     SingleClassError,
 )
 from .kernel import KernelParams, build_kernel_matrix
@@ -63,7 +65,7 @@ EXIT_DATA = 3
 EXIT_NOT_CONVERGED = 4
 
 DATA_DIR_ENV = "ADMMSVM_DATA_DIR"
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 SOLVERS = ("efficient", "smo")
 TRACE_COLUMNS = [f.name for f in dataclasses.fields(TraceRow)]
 STUDY_COLUMNS = ["solver", "c", "r", "seed", "effective_rank", "mse", "train_ms", "iterations",
@@ -139,6 +141,7 @@ def cmd_train(args):
         converged = result.converged
         iterations = result.passes
         effective_rank = None
+        final_gap = None
         train_accuracy = trace.rows[-1].train_accuracy
     else:
         c = args.subset_size
@@ -156,6 +159,7 @@ def cmd_train(args):
         converged = report.converged
         iterations = len(trace)
         effective_rank = report.effective_rank
+        final_gap = report.final_gap
         train_accuracy = report.train_accuracy
     wall_clock_s = time.perf_counter() - wall_start
 
@@ -186,6 +190,7 @@ def cmd_train(args):
         "wall_clock_s": wall_clock_s,
         "nonzero_alpha": model.n_support,
         "effective_rank": effective_rank,
+        "final_gap": final_gap,
     }
     _write_report(payload, args.out_report)
     if args.out_trace:
@@ -315,7 +320,8 @@ def _add_solver_flags(parser):
                         help="RBF decay rate; positive values are negated")
     parser.add_argument("--lambda", dest="lambda_", type=float, default=10.0)
     parser.add_argument("--rho", type=float, default=1.0)
-    parser.add_argument("--epsilon", type=float, default=1e-6)
+    parser.add_argument("--epsilon", type=float, default=1e-3,
+                        help="ADMM stops when the relative duality gap falls to this")
     parser.add_argument("--max-iters", type=int, default=500)
     parser.add_argument("--kkt-tol", type=float, default=1e-3,
                         help="SMO stops when the maximal violating pair's gap falls below this")
@@ -384,7 +390,7 @@ def main(argv=None):
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (InvalidCountError, ValueError) as exc:
+    except (InvalidCountError, RankDeficientError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AdmmSvmError as exc:

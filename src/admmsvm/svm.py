@@ -57,6 +57,7 @@ class TrainReport:
     train_accuracy: float
     converged: bool
     effective_rank: int
+    final_gap: float
 
 
 def train_nonlinear(X, y, kernel, nys, admm, subset=None, track_accuracy=False):
@@ -86,6 +87,7 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, track_accuracy=False):
         train_accuracy=linear.train_accuracy,
         converged=linear.converged,
         effective_rank=weights.shape[1],
+        final_gap=linear.final_gap,
     )
 
 

@@ -1,4 +1,4 @@
-"""ADMM linear solver: the step against the textbook update, the stop test and the error paths."""
+"""ADMM linear solver: the step against the textbook update, the gap stop and the error paths."""
 
 from unittest import mock
 
@@ -51,15 +51,17 @@ def augmented(w, y):
     return np.hstack([y[:, None] * w, np.ones((w.shape[0], 1))])
 
 
-def textbook_iterates(w, y, cfg):
-    """The textbook ADMM update with a cached inverse of the system matrix.
+def textbook_iterates(w, y, cfg, relax):
+    """The textbook over-relaxed ADMM update with a cached inverse of the system matrix.
 
     The system matrix lambda*diag(1, ..., 1, 0) + rho*xt^T xt is built
     here from xt, not by the solver's code. Each pass solves
     for beta_tilde, soft-thresholds the hinge auxiliary a at 1/rho, then
-    steps the multiplier u; yields (u, a, beta_tilde). The soft threshold
-    is written out here, apart from the solver's code: t - 1/rho above
-    1/rho, 0 on [0, 1/rho], t below 0.
+    steps the multiplier u; yields (u, a, beta_tilde). Both updates use the
+    relaxed margin h = relax * margin + (1 - relax) * (1 - a) of the
+    previous a (Boyd et al. 2011, section 3.4.3); relax = 1 is the plain
+    update. The soft threshold is written out here, apart from the
+    solver's code: t - 1/rho above 1/rho, 0 on [0, 1/rho], t below 0.
     """
     xt, rho = augmented(w, y), cfg.rho
     ridge = np.full(xt.shape[1], cfg.lambda_)
@@ -70,24 +72,27 @@ def textbook_iterates(w, y, cfg):
     while True:
         beta_tilde = a_inv @ (xt.T @ (y * (u - rho * (aux - 1.0))))
         margin = y * (xt @ beta_tilde)
-        t = 1.0 + u / rho - margin
+        h = relax * margin + (1.0 - relax) * (1.0 - aux)
+        t = 1.0 + u / rho - h
         aux = np.maximum(t - 1.0 / rho, 0.0) + np.minimum(t, 0.0)
-        u = u + rho * (1.0 - margin - aux)
+        u = u + rho * (1.0 - h - aux)
         yield u, aux, beta_tilde
 
 
+@pytest.mark.parametrize("relax", [admm._RELAX, 1.0])
 @pytest.mark.parametrize("make_design", [lambda: nystrom_design(512), blobs_design],
                          ids=["nystrom_512", "blobs_200"])
-def test_every_step_matches_the_textbook_update(make_design):
+def test_every_step_matches_the_textbook_update(make_design, relax):
     w, y = make_design()
     cfg = AdmmConfig()
-    model, states = solve_recording_states(w, y, cfg)
+    with mock.patch.object(admm, "_RELAX", relax):
+        model, states = solve_recording_states(w, y, cfg)
     assert model.converged
     assert len(states) == model.iterations == len(model.trace)
 
     q, d = symmetric_evd(build_system_matrix(w, y, cfg.lambda_, cfg.rho))
     recover = truncate_spectrum(q, d, r=d.shape[0], eig_tol=0.0)
-    for state, (u, aux, beta_tilde) in zip(states, textbook_iterates(w, y, cfg)):
+    for state, (u, aux, beta_tilde) in zip(states, textbook_iterates(w, y, cfg, relax)):
         tol = 1e-9 * (1.0 + np.abs(u).max())
         np.testing.assert_allclose(state.u, u, rtol=0.0, atol=tol)
         np.testing.assert_allclose(state.a_hat, cfg.rho * aux, rtol=0.0, atol=tol)
@@ -123,13 +128,54 @@ def test_step_raises_on_a_non_finite_iterate(bad):
         admm.admm_step(z, AdmmState(a_hat=np.zeros(6), u=np.zeros(6)), 1.0)
 
 
-def test_stops_at_first_small_beta_step():
+def test_stops_at_the_first_check_with_a_small_gap():
     cfg = AdmmConfig()
     model = solve_linear(*nystrom_design(512), cfg)
-    steps = column(model, "beta_residual")
+    checks = [row for row in model.trace.rows if row.gap is not None]
+    assert ([row.iteration for row in checks]
+            == list(range(admm._GAP_EVERY, model.iterations + 1, admm._GAP_EVERY)))
     assert model.converged
-    assert steps[-1] <= cfg.epsilon
-    assert np.all(steps[:-1] > cfg.epsilon)
+    assert checks[-1].gap == model.final_gap <= cfg.epsilon
+    assert all(row.gap > cfg.epsilon for row in checks[:-1])
+
+
+def test_the_cap_step_is_checked_and_u_residuals_span_the_checks():
+    w, y = nystrom_design(512)
+    model, states = solve_recording_states(w, y, AdmmConfig(max_iters=12))
+    assert not model.converged
+    rows = model.trace.rows
+    assert [row.iteration for row in rows if row.gap is not None] == [5, 10, 12]
+    assert [row.iteration for row in rows if row.u_residual is not None] == [5, 10, 12]
+    assert model.final_gap == rows[-1].gap
+    u_checked = [np.zeros_like(y)] + [states[k - 1].u for k in (5, 10, 12)]
+    for row, before, after in zip((rows[4], rows[9], rows[11]), u_checked, u_checked[1:]):
+        assert row.u_residual == pytest.approx(np.linalg.norm(after - before), rel=1e-12)
+
+
+def test_final_gap_is_the_relative_gap_of_the_returned_model():
+    """P is primal_objective at the returned hyperplane; D is at u with the larger class scaled."""
+    w, y = nystrom_design(512)
+    cfg = AdmmConfig()
+    model, states = solve_recording_states(w, y, cfg)
+    primal = admm.primal_objective(y[:, None] * w, y, model.beta, model.beta0, cfg.lambda_)
+    u = states[-1].u
+    pos, neg = u[y > 0].sum(), u[y < 0].sum()
+    alpha = np.where(y > 0, u * min(1.0, neg / pos), u * min(1.0, pos / neg))
+    assert abs(alpha @ y) <= 1e-12 * alpha.sum()
+    w_alpha = w.T @ alpha
+    dual = alpha.sum() - (w_alpha @ w_alpha) / (2.0 * cfg.lambda_)
+    assert model.final_gap == pytest.approx((primal - dual) / primal, rel=0.0, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lambda_=st.floats(0.1, 10.0), rho=st.floats(0.1, 10.0),
+       n=st.integers(8, 64), p=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_every_checked_gap_obeys_weak_duality(lambda_, rho, n, p, seed):
+    ds = gaussian_blobs(n, p=p, separation=1.0, seed=seed)
+    model = solve_linear(ds.y[:, None] * ds.x, ds.y, AdmmConfig(lambda_, rho, max_iters=100))
+    gaps = [row.gap for row in model.trace.rows if row.gap is not None]
+    assert gaps
+    assert min(gaps) >= -1e-12
 
 
 def test_iteration_cap_reports_not_converged():

@@ -70,6 +70,16 @@ def test_train_rejects_non_finite_solver_settings(tmp_path, monkeypatch, flags):
     assert not (tmp_path / "model.svm").exists()
 
 
+@pytest.mark.parametrize("flags", [["--rho", "1e-300"], ["--lambda", "1e300"]], ids=" ".join)
+def test_train_rejects_settings_that_make_the_system_matrix_singular(tmp_path, monkeypatch,
+                                                                     flags):
+    ds = mnist_like(64)
+    _write_data(tmp_path, ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--data", "data.csv", *flags]) == cli.EXIT_USAGE
+    assert not (tmp_path / "model.svm").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--rank", "0"], ["--rank", "70", "--subset-size", "64"], ["--subset-size", "300"],
     ["--rank", "300"],
@@ -103,6 +113,7 @@ def test_train_with_default_flags_converges(tmp_path, monkeypatch):
     with open(tmp_path / "trace.csv", newline="", encoding="utf-8") as fh:
         last = list(csv.DictReader(fh))[-1]
     assert float(last["train_accuracy"]) == report["train_accuracy"]
+    assert float(last["gap"]) == report["final_gap"] <= report["params"]["epsilon"]
 
 
 def _cells(cell):
@@ -118,7 +129,7 @@ def test_trace_csv_holds_every_field_of_the_trace_rows(tmp_path, monkeypatch, pa
     with open("trace.csv", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         written = list(reader)
-    assert reader.fieldnames == ["iteration", "u_residual", "beta_residual", "train_accuracy",
+    assert reader.fieldnames == ["iteration", "u_residual", "gap", "train_accuracy",
                                  "elapsed_ms", "objective"]
     kernel = KernelParams(gamma=-1.0)
     if path == "smo":  # the dual objective of every pass, and no ADMM residuals
@@ -126,14 +137,14 @@ def test_trace_csv_holds_every_field_of_the_trace_rows(tmp_path, monkeypatch, pa
     else:  # the ADMM columns as before, and no objective
         trace = train_nonlinear(ds.x, ds.y, kernel, NystromConfig(c=64, r=64), AdmmConfig(),
                                 track_accuracy=True).trace
-    names = ["iteration", "u_residual", "beta_residual", "train_accuracy", "objective"]
+    names = ["iteration", "u_residual", "gap", "train_accuracy", "objective"]
     assert ([[_cells(row[name]) for name in names] for row in written]
             == [[getattr(row, name) for name in names] for row in trace.rows])
     assert all(float(row["elapsed_ms"]) > 0 for row in written)
 
 
 @pytest.mark.parametrize("path, settings", [
-    ("efficient", {"lambda": 10.0, "rho": 1.0, "epsilon": 1e-6, "max_iters": 500,
+    ("efficient", {"lambda": 10.0, "rho": 1.0, "epsilon": 1e-3, "max_iters": 500,
                    "c": 64, "r": 64}),
     ("smo", {"c_box": 1.0, "kkt_tol": 0.01, "max_passes": 200}),
 ])
@@ -149,6 +160,7 @@ def test_report_records_the_settings_of_the_path_that_ran(tmp_path, monkeypatch,
     assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION
     common = {"gamma": -1.0, "seed": 0, "path": path, "scaling": "none"}
     assert report["params"] == {**common, **settings}
+    assert (report["final_gap"] is None) == (path == "smo")
 
 
 def test_smo_report_accuracy_equals_saved_model_accuracy(tmp_path, monkeypatch):

@@ -37,9 +37,9 @@ def test_training_equals_factor_then_solve_then_recovery(case):
     assert report.model.bias == model.bias
     assert report.effective_rank == factor.effective_rank
     assert (report.converged, report.train_accuracy) == (linear.converged, linear.train_accuracy)
-    assert ([(row.u_residual, row.beta_residual, row.train_accuracy) for row in report.trace.rows]
-            == [(row.u_residual, row.beta_residual, row.train_accuracy)
-                for row in linear.trace.rows])
+    assert report.final_gap == linear.final_gap
+    assert ([(row.u_residual, row.gap, row.train_accuracy) for row in report.trace.rows]
+            == [(row.u_residual, row.gap, row.train_accuracy) for row in linear.trace.rows])
 
 
 def test_training_and_prediction_leave_the_inputs_and_features_intact():
