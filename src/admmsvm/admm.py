@@ -4,14 +4,14 @@ The solver takes the signed rows w_i = y_i x_i and the labels y. Since
 y_i^2 = 1, W_tilde = [w, y] is the label-weighted design Y [x, 1] of the
 textbook iteration, which solves the regularized normal equations for
 beta_tilde = (beta, beta0), soft-thresholds the hinge auxiliary a, then
-steps the multiplier u. Here it is restated around Z = W_tilde Q D^(-1/2),
-where Q D Q^T is the symmetric eigendecomposition of the fixed system
-matrix, with the scaled auxiliary a_hat = rho * a and the shared
-intermediate theta, so each pass is two thin matrix-vector products plus
-element-wise work. The step is over-relaxed (Boyd et al. 2011, section
-3.4.3): in the auxiliary and multiplier updates the margins are replaced
-by h = alpha * margins + (1 - alpha) * (1 - a) with alpha = ``_RELAX``,
-and alpha = 1 gives the plain iteration. The multiplier iterates are the
+steps the multiplier u. Here it is restated around Z = W_tilde L^(-T),
+for the Cholesky factor L of the fixed system matrix A = L L^T, with the
+scaled auxiliary a_hat = rho * a and the shared intermediate theta, so
+each pass is two thin matrix-vector products plus element-wise work. The
+step is over-relaxed (Boyd et al. 2011, section 3.4.3): in the auxiliary
+and multiplier updates the margins are replaced by
+h = alpha * margins + (1 - alpha) * (1 - a) with alpha = ``_RELAX``, and
+alpha = 1 gives the plain iteration. The multiplier iterates are the
 textbook ones. Their step u = theta - S(theta, 1), with S the soft
 threshold at 1, is the projection of theta onto the dual box [0, 1], so
 it is written as u = clip(theta, 0, 1) and a_hat = theta - u, which
@@ -20,13 +20,12 @@ equals the soft-threshold form bit for bit.
 The loop stops on a relative duality gap, checked every ``_GAP_EVERY``
 steps and at the iteration cap. The primal objective
 P = sum max(0, 1 - margins) + lambda/2 ||beta||^2 is that of the iterate
-beta_tilde = Q D^(-1/2) S, which is formed only on these check steps. The
+beta_tilde = L^(-T) S, which is formed only on these check steps. The
 dual point is alpha = u, feasible once the larger class is scaled down so
 that y^T alpha = 0, with D = sum alpha - ||w^T alpha||^2 / (2 lambda).
 Weak duality gives D <= P, and the loop stops when (P - D) / P is at most
 epsilon. The design is gone by then, overwritten by Z, but
-W_tilde^T alpha = (Q D^(1/2)) Z^T alpha, so D costs one more product with
-Z.
+W_tilde^T alpha = L Z^T alpha, so D costs one more product with Z.
 
 Z has the shape of W_tilde and is formed in place over it, so a solve
 holds one N x (p+1) design-sized array: :func:`solve_linear` copies its
@@ -44,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import symmetric_evd, truncate_spectrum
 from .errors import (
     NonFiniteError,
     RankDeficientError,
@@ -147,23 +145,33 @@ def build_system_matrix(w, y, lambda_, rho):
     return a
 
 
-def precompute_z(wy, basis):
-    """Overwrite W_tilde = [w, y] in ``wy`` with Z = W_tilde Q D^(-1/2), and return it.
+def _system_factor(a):
+    """Lower Cholesky factor L of the system matrix A = L L^T.
 
-    ``basis`` is Q D^(-1/2) from :func:`admmsvm.eigen.truncate_spectrum`.
-    Z Z^T then equals W_tilde A^(-1) W_tilde^T, the constant matrix the
-    iteration applies each pass. Each row block of about ``_Z_BLOCK_BYTES``
-    takes w times the first p rows of the basis in one scratch block, which
-    is added over y times the last row (exact, as y = +-1), so no second
-    N x (p+1) array is formed. Raises
-    :class:`~admmsvm.errors.RankDeficientError` when the basis has fewer
-    than p+1 columns, that is when the system matrix is singular.
+    Raises :class:`~admmsvm.errors.RankDeficientError` when it fails or when
+    its pivots, the eigenvalues of L, prove cond(A) = cond(L)^2 >= 1/eps.
+    """
+    message = "system matrix is numerically singular; lambda and rho are too far apart in scale"
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientError(message) from exc
+    pivots = np.diagonal(chol)
+    if not pivots.min() > np.sqrt(np.finfo(float).eps) * pivots.max():  # NaN included
+        raise RankDeficientError(message)
+    return chol
+
+
+def precompute_z(wy, basis):
+    """Overwrite W_tilde = [w, y] in ``wy`` with Z = W_tilde R, and return it.
+
+    ``basis`` is any (p+1)x(p+1) R with R R^T = A^(-1), so that Z Z^T equals
+    W_tilde A^(-1) W_tilde^T, the constant matrix the iteration applies each
+    pass. Each row block of about ``_Z_BLOCK_BYTES`` takes w times the first
+    p rows of the basis in one scratch block, which is added over y times
+    the last row (exact, as y = +-1), so no second N x (p+1) array is formed.
     """
     n, cols = wy.shape
-    if basis.shape[1] < cols:
-        raise RankDeficientError(
-            "system matrix is numerically singular; lambda and rho are too far apart in scale"
-        )
     rows = max(1, _Z_BLOCK_BYTES // (8 * cols))
     scratch = np.empty((min(rows, n), cols))
     for i in range(0, n, rows):
@@ -181,10 +189,11 @@ def admm_step(z, state, rho):
     theta = u + rho*alpha*(1 - margins) - (alpha - 1)*a_hat with
     alpha = ``_RELAX``; new u = clip(theta, 0, 1), the projection onto the
     dual box; new a_hat = theta - u. The margins are
-    w_tilde_i . beta_tilde at the iterate beta_tilde = Q D^(-1/2) S and are
-    kept on the state. Raises :class:`~admmsvm.errors.NonFiniteError` when
-    S is not finite: Z is bounded (||Z||_2 <= 1/sqrt(rho)), so a non-finite
-    u, a_hat or theta reaches S within one step, and the check costs O(p).
+    w_tilde_i . beta_tilde at the iterate beta_tilde = R S, for the basis R
+    of :func:`precompute_z`, and are kept on the state. Raises
+    :class:`~admmsvm.errors.NonFiniteError` when S is not finite: Z is
+    bounded (||Z||_2 <= 1/sqrt(rho)), so a non-finite u, a_hat or theta
+    reaches S within one step, and the check costs O(p).
     """
     s = z.T @ (state.u + rho - state.a_hat)
     if not np.isfinite(s).all():
@@ -236,13 +245,13 @@ def solve_linear(w, y, cfg, track_accuracy=False):
 def _solve(wy, cfg, track_accuracy):
     """The ADMM solve on the buffer ``wy`` = [w, y] of signed rows and labels.
 
-    Labels must be -1 or +1. Set-up builds the system matrix, its
-    eigendecomposition, the basis Q D^(-1/2) and its inverse transpose
-    Q D^(1/2), then overwrites ``wy`` with Z by :func:`precompute_z`; each
-    pass is one :func:`admm_step`. Every ``_GAP_EVERY`` steps, and at the
-    iteration cap, a check step forms beta_tilde = Q D^(-1/2) S and the
-    relative duality gap of :func:`_relative_gap`; the loop stops at the
-    first check whose gap is at most epsilon. Each step gets one trace row.
+    Labels must be -1 or +1. Set-up builds the system matrix A, its
+    Cholesky factor L of :func:`_system_factor` and the basis L^(-T), then
+    overwrites ``wy`` with Z by :func:`precompute_z`; each pass is one
+    :func:`admm_step`. Every ``_GAP_EVERY`` steps, and at the iteration
+    cap, a check step forms beta_tilde = L^(-T) S and the relative duality
+    gap of :func:`_relative_gap`; the loop stops at the first check whose
+    gap is at most epsilon. Each step gets one trace row.
     A check row carries the gap and the norm of the change in u since the
     previous check; other rows leave both empty. The training accuracy of
     an iterate is that of the decision values y * margins, where
@@ -252,7 +261,7 @@ def _solve(wy, cfg, track_accuracy):
     ``converged=False`` when the iteration cap is reached before the gap
     falls to epsilon.
     """
-    n, p = wy.shape[0], wy.shape[1] - 1
+    n = wy.shape[0]
     if n < 2:
         raise ValueError("need at least two training samples")
     if not np.all(np.isfinite(wy)):
@@ -260,10 +269,9 @@ def _solve(wy, cfg, track_accuracy):
     y = wy[:, -1].copy()
     _check_two_classes(y)
     setup_start = time.perf_counter()
-    q, d = symmetric_evd(build_system_matrix(wy[:, :-1], y, cfg.lambda_, cfg.rho))
-    basis = truncate_spectrum(q, d, r=p + 1, eig_tol=0.0)
+    lift = _system_factor(build_system_matrix(wy[:, :-1], y, cfg.lambda_, cfg.rho))
+    basis = np.linalg.inv(lift).T  # L^(-T); W_tilde^T alpha = lift Z^T alpha
     z = precompute_z(wy, basis)
-    lift = basis * d  # Q D^(1/2), so that W_tilde^T alpha = lift Z^T alpha
     state = AdmmState(a_hat=np.zeros(n), u=np.zeros(n))
     setup_ms = (time.perf_counter() - setup_start) * 1e3
 

@@ -4,7 +4,7 @@
 (c, r, seed) it times the training that ``train`` runs, and records it with
 the Nystrom factor's effective rank and MSE, the iterations and the
 accuracy; its last row is exact-kernel SMO on the same problem, at the box
-C = 1/lambda.
+C = 1/lambda, the box that ``train --path smo`` solves too.
 
 Exit codes: 0 success, 1 internal error, 2 invalid flags or configuration
 (a lambda or rho that leaves the ADMM system matrix singular included), 3
@@ -121,6 +121,16 @@ def _write_report(payload, path):
         fh.write("\n")
 
 
+def _problem(args):
+    """The kernel and the solver settings of the flags; SMO's box is C = 1/lambda."""
+    params = KernelParams(gamma=-abs(args.gamma))
+    admm_cfg = AdmmConfig(lambda_=args.lambda_, rho=args.rho, epsilon=args.epsilon,
+                          max_iters=args.max_iters)
+    smo_cfg = SmoConfig(c_box=1.0 / admm_cfg.lambda_, kkt_tol=args.kkt_tol,
+                        max_passes=args.max_passes)
+    return params, admm_cfg, smo_cfg
+
+
 def cmd_train(args):
     ds = _load_dataset(args)
     test = None
@@ -130,12 +140,11 @@ def cmd_train(args):
     ds, scaling = scale_features(ds, args.scaling)
 
     n = ds.n
-    params = KernelParams(gamma=-abs(args.gamma))
+    params, admm_cfg, smo_cfg = _problem(args)
     wall_start = time.perf_counter()
     if args.path == "smo":
-        cfg = SmoConfig(c_box=args.c_box, kkt_tol=args.kkt_tol, max_passes=args.max_passes)
-        settings = {"c_box": cfg.c_box, "kkt_tol": cfg.kkt_tol, "max_passes": cfg.max_passes}
-        result = smo_train(ds.x, ds.y, params, cfg)
+        settings = dataclasses.asdict(smo_cfg)
+        result = smo_train(ds.x, ds.y, params, smo_cfg)
         model = support_model(ds.x, ds.y, np.arange(n), result.alpha * ds.y, result.b, params)
         trace = result.trace
         converged = result.converged
@@ -151,8 +160,6 @@ def cmd_train(args):
         settings = {"lambda": args.lambda_, "rho": args.rho, "epsilon": args.epsilon,
                     "max_iters": args.max_iters, "c": c, "r": r}
         nys = NystromConfig(c=c, r=r, seed=args.seed)
-        admm_cfg = AdmmConfig(lambda_=args.lambda_, rho=args.rho, epsilon=args.epsilon,
-                              max_iters=args.max_iters)
         report = train_nonlinear(ds.x, ds.y, params, nys, admm_cfg, track_accuracy=True)
         model = report.model
         trace = report.trace
@@ -251,11 +258,7 @@ def cmd_approx_study(args):
         raise InvalidCountError(
             f"approx-study materializes the full kernel matrix; N={ds.n} exceeds the 8192 guard"
         )
-    params = KernelParams(gamma=-abs(args.gamma))
-    admm_cfg = AdmmConfig(lambda_=args.lambda_, rho=args.rho, epsilon=args.epsilon,
-                          max_iters=args.max_iters)
-    smo_cfg = SmoConfig(c_box=1.0 / args.lambda_, kkt_tol=args.kkt_tol,
-                        max_passes=args.max_passes)
+    params, admm_cfg, smo_cfg = _problem(args)
     combos = sorted(
         {
             (c, r, seed)
@@ -340,10 +343,9 @@ def build_parser():
     p_train = sub.add_parser("train", help="train a model and write model/report/trace files")
     _add_data_flags(p_train)
     _add_solver_flags(p_train)
-    p_train.add_argument("--c-box", type=float, default=10.0, help="SMO box constraint")
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--path", choices=SOLVERS, default="efficient",
-                         help="efficient: Nystrom factor and ADMM; smo: exact-kernel SMO baseline")
+                         help="efficient: Nystrom factor and ADMM; smo: exact SMO at C = 1/lambda")
     p_train.add_argument("--rank", type=int, default=None,
                          help="target rank r (default min(64, c), or min(64, N) without c)")
     p_train.add_argument("--subset-size", type=int, default=None,

@@ -14,7 +14,7 @@ class NoConvergenceError(AdmmSvmError):
 
 
 class RankDeficientError(AdmmSvmError):
-    """A matrix has no usable spectrum for the requested operation."""
+    """A sampled kernel block has no usable spectrum, or the ADMM system matrix is singular."""
 
 
 class DimensionMismatchError(AdmmSvmError):

@@ -2,7 +2,7 @@
 
 Produces a factor V with Psi ~= V V^T from c sampled landmarks and a
 rank-r spectral truncation of the sampled block Psi_MM. The sampled block
-is diagonalized by :func:`admmsvm.eigen.symmetric_evd`, so a LAPACK
+is diagonalized by :func:`symmetric_evd` (LAPACK via numpy), so a LAPACK
 failure surfaces as :class:`~admmsvm.errors.NoConvergenceError` and NaN
 features in a landmark row as :class:`~admmsvm.errors.NonFiniteError`.
 The factor keeps one c-by-k matrix of landmark weights
@@ -20,16 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import DEFAULT_EIG_TOL, symmetric_evd, truncate_spectrum
-from .errors import DimensionMismatchError, InvalidCountError
+from .errors import (DimensionMismatchError, InvalidCountError, NoConvergenceError,
+                     NonFiniteError, RankDeficientError)
 from .kernel import _check_samples, _check_subset, _rbf_sums, build_kernel_matrix
 
 _MSE_BLOCK_BYTES = 1 << 20  # one row block of the residual
+DEFAULT_EIG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class NystromConfig:
-    """Sampling and truncation parameters; requires 1 <= r <= c."""
+    """Sampling and truncation parameters; requires 1 <= r <= c and a finite eig_tol >= 0."""
 
     c: int
     r: int
@@ -39,6 +40,8 @@ class NystromConfig:
     def __post_init__(self):
         if not 1 <= self.r <= self.c:
             raise InvalidCountError(f"need 1 <= r <= c, got r={self.r}, c={self.c}")
+        if not 0 <= self.eig_tol < np.inf:
+            raise ValueError(f"eig_tol must be finite and non-negative, got {self.eig_tol}")
 
     def validate_against(self, n):
         if self.c > n:
@@ -72,6 +75,76 @@ def sample_subset(n, c, seed):
     picked = rng.choice(n, size=c, replace=False)
     picked.sort()
     return picked
+
+
+def symmetric_evd(a):
+    """Diagonalize a symmetric matrix with LAPACK (``np.linalg.eigh``).
+
+    Returns read-only ``(q, d)``: eigenvectors as the columns of ``q`` and
+    eigenvalues ``d`` sorted by descending value (ties keep their ``eigh``
+    order). Each eigenvector's sign is fixed so its largest-magnitude entry
+    is non-negative, making the output reproducible. The input must be a
+    non-empty square matrix of finite entries, symmetric within
+    1e-8 * max(1, max |a_ij|); its upper triangle is what is diagonalized.
+    Raises ``ValueError`` for a bad shape or an asymmetric matrix,
+    :class:`~admmsvm.errors.NonFiniteError` for NaN or Inf entries and
+    :class:`~admmsvm.errors.NoConvergenceError` when LAPACK fails.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("matrix must be at least 1x1")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError("matrix contains NaN or Inf entries")
+    scale = max(1.0, float(np.abs(a).max()))
+    if np.abs(a - a.T).max() > 1e-8 * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    # mirror the upper triangle so the diagonalized matrix is exactly symmetric
+    sym = np.triu(a) + np.triu(a, 1).T
+    try:
+        d, q = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"symmetric eigendecomposition did not converge: {exc}") from exc
+
+    order = np.argsort(-d, kind="stable")
+    d = d[order]
+    q = q[:, order]
+
+    # sign convention: largest-magnitude entry of each column non-negative
+    anchor = np.argmax(np.abs(q), axis=0)
+    flip = q[anchor, np.arange(d.shape[0])] < 0
+    q[:, flip] = -q[:, flip]
+
+    d.flags.writeable = False
+    q.flags.writeable = False
+    return q, d
+
+
+def truncate_spectrum(q, d, r, eig_tol=DEFAULT_EIG_TOL):
+    """Scaled basis q[:, :k] * d[:k]^(-1/2) of the leading eigenpairs kept.
+
+    ``q`` and ``d`` come from :func:`symmetric_evd`. The kept rank k, the
+    basis's column count, counts eigenvalues among the first ``r`` that are
+    larger than ``eig_tol * max(d[0], 1)``. Raises
+    :class:`~admmsvm.errors.RankDeficientError` when even the largest
+    eigenvalue is at or below ``eig_tol`` (no usable spectrum).
+    """
+    n = d.shape[0]
+    if not 1 <= r <= n:
+        raise ValueError(f"rank r={r} must satisfy 1 <= r <= n={n}")
+    if eig_tol < 0:
+        raise ValueError("eig_tol must be non-negative")
+
+    if d[0] <= eig_tol:
+        raise RankDeficientError(
+            f"largest eigenvalue {d[0]:.3e} is at or below eig_tol={eig_tol:.3e}"
+        )
+    threshold = eig_tol * max(d[0], 1.0)
+    kept = d[:r][d[:r] > threshold]
+    if kept.shape[0] == 0:
+        raise RankDeficientError("no eigenvalue among the first r exceeds the tolerance")
+    return q[:, :kept.shape[0]] * (1.0 / np.sqrt(kept))[None, :]
 
 
 def _design(x, y, params, cfg, subset):
@@ -120,7 +193,7 @@ def nystrom_factor(X, y, params, cfg, subset=None):
     eigendecomposes the sampled block Psi_MM, truncates its spectrum to
     rank r, and forms v = Psi[:, M] @ Q_k @ diag(d_k)^(-1/2) as the
     weighted RBF sums y * (K(X, X_M) @ W). Here W = y_M * Q_k diag(d_k)^(-1/2)
-    is the basis of :func:`admmsvm.eigen.truncate_spectrum` with its rows
+    is the basis of :func:`truncate_spectrum` with its rows
     signed by the landmark labels, so the N-by-c columns Psi[:, M] are never
     stored. Each entry of v is within the sums bound of :mod:`admmsvm.kernel`
     taken with the column sums of |W|, which grow as d_k^(-1/2): the

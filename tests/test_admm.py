@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from admmsvm import admm
 from admmsvm.admm import AdmmConfig, AdmmState, build_system_matrix, solve_linear
-from admmsvm.eigen import symmetric_evd, truncate_spectrum
 from admmsvm.errors import NonFiniteError, SingleClassError
 from admmsvm.kernel import KernelParams
 from admmsvm.nystrom import NystromConfig, nystrom_factor
@@ -51,22 +50,32 @@ def augmented(w, y):
     return np.hstack([y[:, None] * w, np.ones((w.shape[0], 1))])
 
 
+def solver_basis(w, y, cfg):
+    """The solver's basis L^(-T), from the Cholesky factor L of its system matrix."""
+    return np.linalg.inv(np.linalg.cholesky(build_system_matrix(w, y, cfg.lambda_, cfg.rho))).T
+
+
+def textbook_system(w, y, cfg):
+    """The system matrix lambda*diag(1, ..., 1, 0) + rho*xt^T xt, built from xt."""
+    xt = augmented(w, y)
+    ridge = np.full(xt.shape[1], cfg.lambda_)
+    ridge[-1] = 0.0
+    return np.diag(ridge) + cfg.rho * (xt.T @ xt)
+
+
 def textbook_iterates(w, y, cfg, relax):
     """The textbook over-relaxed ADMM update with a cached inverse of the system matrix.
 
-    The system matrix lambda*diag(1, ..., 1, 0) + rho*xt^T xt is built
-    here from xt, not by the solver's code. Each pass solves
-    for beta_tilde, soft-thresholds the hinge auxiliary a at 1/rho, then
-    steps the multiplier u; yields (u, a, beta_tilde). Both updates use the
-    relaxed margin h = relax * margin + (1 - relax) * (1 - a) of the
-    previous a (Boyd et al. 2011, section 3.4.3); relax = 1 is the plain
-    update. The soft threshold is written out here, apart from the
+    The system matrix is :func:`textbook_system`'s, not the solver's. Each
+    pass solves for beta_tilde, soft-thresholds the hinge auxiliary a at
+    1/rho, then steps the multiplier u; yields (u, a, beta_tilde). Both
+    updates use the relaxed margin h = relax * margin + (1 - relax) * (1 - a)
+    of the previous a (Boyd et al. 2011, section 3.4.3); relax = 1 is the
+    plain update. The soft threshold is written out here, apart from the
     solver's code: t - 1/rho above 1/rho, 0 on [0, 1/rho], t below 0.
     """
     xt, rho = augmented(w, y), cfg.rho
-    ridge = np.full(xt.shape[1], cfg.lambda_)
-    ridge[-1] = 0.0
-    a_inv = np.linalg.inv(np.diag(ridge) + rho * (xt.T @ xt))
+    a_inv = np.linalg.inv(textbook_system(w, y, cfg))
     aux = np.zeros(xt.shape[0])
     u = np.zeros(xt.shape[0])
     while True:
@@ -90,8 +99,7 @@ def test_every_step_matches_the_textbook_update(make_design, relax):
     assert model.converged
     assert len(states) == model.iterations == len(model.trace)
 
-    q, d = symmetric_evd(build_system_matrix(w, y, cfg.lambda_, cfg.rho))
-    recover = truncate_spectrum(q, d, r=d.shape[0], eig_tol=0.0)
+    recover = solver_basis(w, y, cfg)
     for state, (u, aux, beta_tilde) in zip(states, textbook_iterates(w, y, cfg, relax)):
         tol = 1e-9 * (1.0 + np.abs(u).max())
         np.testing.assert_allclose(state.u, u, rtol=0.0, atol=tol)
@@ -101,6 +109,29 @@ def test_every_step_matches_the_textbook_update(make_design, relax):
         np.testing.assert_allclose(state.margins, margins, rtol=0.0,
                                    atol=1e-9 * (1.0 + np.abs(margins).max()))
     np.testing.assert_array_equal(model.beta, (recover @ states[-1].s)[:-1])
+
+
+@pytest.mark.parametrize("make_design", [lambda: nystrom_design(512), blobs_design],
+                         ids=["nystrom_512", "blobs_200"])
+def test_z_applies_the_inverse_of_the_system_matrix(make_design):
+    """Z Z^T = W_tilde A^(-1) W_tilde^T, whichever square root of A^(-1) formed Z."""
+    w, y = make_design()
+    cfg = AdmmConfig()
+    formed = []
+    precompute = admm.precompute_z
+
+    def recording_precompute(wy, basis):
+        z = precompute(wy, basis)
+        formed.append(z.copy())
+        return z
+
+    with mock.patch.object(admm, "precompute_z", recording_precompute):
+        solve_linear(w, y, cfg)
+    (z,) = formed
+    wt = np.column_stack([w, y])
+    expected = wt @ np.linalg.inv(textbook_system(w, y, cfg)) @ wt.T
+    np.testing.assert_allclose(z @ z.T, expected, rtol=0.0,
+                               atol=1e-12 * np.abs(expected).max())
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,8 +281,7 @@ def test_z_formed_in_place_equals_the_whole_product(blocks):
     assert n % rows and n <= 512
     w, y = w[:n], y[:n]
     cfg = AdmmConfig()
-    q, d = symmetric_evd(build_system_matrix(w, y, cfg.lambda_, cfg.rho))
-    basis = truncate_spectrum(q, d, r=d.shape[0], eig_tol=0.0)
+    basis = solver_basis(w, y, cfg)
     # one product over all rows, then +-basis[-1] by label: Z before it was formed in blocks
     expected = w @ basis[:-1] + y[:, None] * basis[-1]
     wy = np.column_stack([w, y])

@@ -60,7 +60,8 @@ def test_train_rejects_a_zero_rho(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("flags", [
     ["--lambda", "nan"], ["--lambda", "inf"], ["--rho", "inf"], ["--epsilon", "nan"],
-    ["--path", "smo", "--kkt-tol", "nan"], ["--path", "smo", "--c-box", "inf"],
+    ["--path", "smo", "--kkt-tol", "nan"], ["--path", "smo", "--lambda", "inf"],
+    ["--path", "smo", "--lambda", "0"],
 ], ids=" ".join)
 def test_train_rejects_non_finite_solver_settings(tmp_path, monkeypatch, flags):
     ds = mnist_like(64)
@@ -70,7 +71,9 @@ def test_train_rejects_non_finite_solver_settings(tmp_path, monkeypatch, flags):
     assert not (tmp_path / "model.svm").exists()
 
 
-@pytest.mark.parametrize("flags", [["--rho", "1e-300"], ["--lambda", "1e300"]], ids=" ".join)
+@pytest.mark.parametrize("flags", [
+    ["--rho", "1e-300"], ["--lambda", "1e300"], ["--lambda", "1e20"],
+], ids=" ".join)
 def test_train_rejects_settings_that_make_the_system_matrix_singular(tmp_path, monkeypatch,
                                                                      flags):
     ds = mnist_like(64)
@@ -133,7 +136,7 @@ def test_trace_csv_holds_every_field_of_the_trace_rows(tmp_path, monkeypatch, pa
                                  "elapsed_ms", "objective"]
     kernel = KernelParams(gamma=-1.0)
     if path == "smo":  # the dual objective of every pass, and no ADMM residuals
-        trace = smo_train(ds.x, ds.y, kernel, SmoConfig()).trace
+        trace = smo_train(ds.x, ds.y, kernel, SmoConfig(c_box=1.0 / AdmmConfig().lambda_)).trace
     else:  # the ADMM columns as before, and no objective
         trace = train_nonlinear(ds.x, ds.y, kernel, NystromConfig(c=64, r=64), AdmmConfig(),
                                 track_accuracy=True).trace
@@ -144,7 +147,7 @@ def test_trace_csv_holds_every_field_of_the_trace_rows(tmp_path, monkeypatch, pa
 
 
 @pytest.mark.parametrize("path, settings", [
-    ("efficient", {"lambda": 10.0, "rho": 1.0, "epsilon": 1e-3, "max_iters": 500,
+    ("efficient", {"lambda": 1.0, "rho": 1.0, "epsilon": 1e-3, "max_iters": 500,
                    "c": 64, "r": 64}),
     ("smo", {"c_box": 1.0, "kkt_tol": 0.01, "max_passes": 200}),
 ])
@@ -154,7 +157,7 @@ def test_report_records_the_settings_of_the_path_that_ran(tmp_path, monkeypatch,
                fmt="%.17g")
     monkeypatch.chdir(tmp_path)
     code = cli.main(["train", "--data", "data.csv", "--path", path,
-                     "--c-box", "1", "--kkt-tol", "0.01"])
+                     "--lambda", "1", "--kkt-tol", "0.01"])
     assert code == cli.EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert report["schema_version"] == cli.REPORT_SCHEMA_VERSION

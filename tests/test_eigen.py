@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from admmsvm.eigen import symmetric_evd, truncate_spectrum
 from admmsvm.errors import NoConvergenceError, NonFiniteError, RankDeficientError
 from admmsvm.kernel import KernelParams
-from admmsvm.nystrom import NystromConfig, nystrom_factor
+from admmsvm.nystrom import NystromConfig, nystrom_factor, symmetric_evd, truncate_spectrum
 from admmsvm.synthetic import mnist_like
 
 

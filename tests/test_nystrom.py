@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from admmsvm.admm import AdmmConfig, solve_linear
-from admmsvm.eigen import symmetric_evd
 from admmsvm.errors import (
     DimensionMismatchError,
     DuplicateIndexError,
@@ -20,6 +19,7 @@ from admmsvm.nystrom import (
     approximation_mse,
     nystrom_factor,
     sample_subset,
+    symmetric_evd,
 )
 from admmsvm.svm import SUPPORT_DROP_TOL, train_nonlinear
 from admmsvm.synthetic import mnist_like
@@ -74,6 +74,12 @@ def test_config_bounds():
         NystromConfig(c=2, r=3)
     with pytest.raises(InvalidCountError):
         NystromConfig(c=4, r=2).validate_against(3)
+
+
+@pytest.mark.parametrize("eig_tol", [np.nan, np.inf, -1.0])
+def test_config_rejects_a_nan_infinite_or_negative_eig_tol(eig_tol):
+    with pytest.raises(ValueError):
+        NystromConfig(c=4, r=2, eig_tol=eig_tol)
 
 
 def test_exact_when_subset_covers_everything():
