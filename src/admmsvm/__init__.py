@@ -29,7 +29,6 @@ from .nystrom import (
     nystrom_factor,
     sample_subset,
     symmetric_evd,
-    truncate_spectrum,
 )
 from .smo import SmoConfig, SmoResult, smo_train
 from .svm import (
@@ -81,5 +80,4 @@ __all__ = [
     "symmetric_evd",
     "synthetic",
     "train_nonlinear",
-    "truncate_spectrum",
 ]

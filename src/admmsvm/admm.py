@@ -262,8 +262,6 @@ def _solve(wy, cfg, track_accuracy):
     falls to epsilon.
     """
     n = wy.shape[0]
-    if n < 2:
-        raise ValueError("need at least two training samples")
     if not np.all(np.isfinite(wy)):
         raise NonFiniteError("features contain NaN or Inf")
     y = wy[:, -1].copy()

@@ -14,7 +14,7 @@ class NoConvergenceError(AdmmSvmError):
 
 
 class RankDeficientError(AdmmSvmError):
-    """A sampled kernel block has no usable spectrum, or the ADMM system matrix is singular."""
+    """The ADMM system matrix is numerically singular."""
 
 
 class DimensionMismatchError(AdmmSvmError):

@@ -1,10 +1,12 @@
 """Nystrom low-rank factorization of the label-weighted kernel matrix.
 
-Produces a factor V with Psi ~= V V^T from c sampled landmarks and a
-rank-r spectral truncation of the sampled block Psi_MM. The sampled block
-is diagonalized by :func:`symmetric_evd` (LAPACK via numpy), so a LAPACK
-failure surfaces as :class:`~admmsvm.errors.NoConvergenceError` and NaN
-features in a landmark row as :class:`~admmsvm.errors.NonFiniteError`.
+Produces a factor V with Psi ~= V V^T by one recipe: c landmarks M from
+:func:`sample_subset`, the sampled block Psi_MM diagonalized by
+:func:`symmetric_evd` (LAPACK via numpy), and of its leading r eigenpairs
+those whose eigenvalue exceeds ``_EIG_TOL * max(d_1, 1)``. Psi_MM has a
+unit diagonal, so its largest eigenvalue d_1 is at least 1 and is kept. A
+LAPACK failure surfaces as :class:`~admmsvm.errors.NoConvergenceError` and
+NaN features in a landmark row as :class:`~admmsvm.errors.NonFiniteError`.
 The factor keeps one c-by-k matrix of landmark weights
 W = y_M * Q_k D_k^(-1/2), for the k eigenpairs kept, and uses it twice:
 V = Psi[:, M] Q_k D_k^(-1/2) = y * (K(X, X_M) W) is formed as weighted RBF
@@ -20,32 +22,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, InvalidCountError, NoConvergenceError,
-                     NonFiniteError, RankDeficientError)
-from .kernel import _check_samples, _check_subset, _rbf_sums, build_kernel_matrix
+from .errors import DimensionMismatchError, InvalidCountError, NoConvergenceError, NonFiniteError
+from .kernel import _check_samples, _rbf_sums, build_kernel_matrix
 
 _MSE_BLOCK_BYTES = 1 << 20  # one row block of the residual
-DEFAULT_EIG_TOL = 1e-10
+_EIG_TOL = 1e-10  # relative floor of the eigenvalues of Psi_MM that are kept
 
 
 @dataclass(frozen=True)
 class NystromConfig:
-    """Sampling and truncation parameters; requires 1 <= r <= c and a finite eig_tol >= 0."""
+    """c landmarks drawn with ``seed`` and the rank r kept; 1 <= r <= c, and c <= N on use."""
 
     c: int
     r: int
     seed: int = 0
-    eig_tol: float = DEFAULT_EIG_TOL
 
     def __post_init__(self):
         if not 1 <= self.r <= self.c:
             raise InvalidCountError(f"need 1 <= r <= c, got r={self.r}, c={self.c}")
-        if not 0 <= self.eig_tol < np.inf:
-            raise ValueError(f"eig_tol must be finite and non-negative, got {self.eig_tol}")
-
-    def validate_against(self, n):
-        if self.c > n:
-            raise InvalidCountError(f"c={self.c} exceeds sample count N={n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,56 +115,21 @@ def symmetric_evd(a):
     return q, d
 
 
-def truncate_spectrum(q, d, r, eig_tol=DEFAULT_EIG_TOL):
-    """Scaled basis q[:, :k] * d[:k]^(-1/2) of the leading eigenpairs kept.
-
-    ``q`` and ``d`` come from :func:`symmetric_evd`. The kept rank k, the
-    basis's column count, counts eigenvalues among the first ``r`` that are
-    larger than ``eig_tol * max(d[0], 1)``. Raises
-    :class:`~admmsvm.errors.RankDeficientError` when even the largest
-    eigenvalue is at or below ``eig_tol`` (no usable spectrum).
-    """
-    n = d.shape[0]
-    if not 1 <= r <= n:
-        raise ValueError(f"rank r={r} must satisfy 1 <= r <= n={n}")
-    if eig_tol < 0:
-        raise ValueError("eig_tol must be non-negative")
-
-    if d[0] <= eig_tol:
-        raise RankDeficientError(
-            f"largest eigenvalue {d[0]:.3e} is at or below eig_tol={eig_tol:.3e}"
-        )
-    threshold = eig_tol * max(d[0], 1.0)
-    kept = d[:r][d[:r] > threshold]
-    if kept.shape[0] == 0:
-        raise RankDeficientError("no eigenvalue among the first r exceeds the tolerance")
-    return q[:, :kept.shape[0]] * (1.0 / np.sqrt(kept))[None, :]
-
-
-def _design(x, y, params, cfg, subset):
+def _design(x, y, params, cfg):
     """The factor of :func:`nystrom_factor` as ``(m, W, wy)`` for checked x, y.
 
-    The one place V is formed: the count checks, the subset M, the EVD of
-    Psi_MM, its truncation to rank r (with the warning) and the landmark
-    weights W, then V written by the weighted RBF sums into the first
-    columns of one N x (k+1) buffer ``wy`` whose last column is y, so
-    ``wy`` = [V, y] is the design of the linear problem on Y V (its signed
-    rows y_i (y_i v_i) are V itself). The caller owns ``wy``.
+    The one place V is formed: the subset M, the EVD of Psi_MM, the kept
+    rank k (with a warning when k < r) and the landmark weights W, then V
+    written by the weighted RBF sums into the first columns of one
+    N x (k+1) buffer ``wy`` whose last column is y, so ``wy`` = [V, y] is
+    the design of the linear problem on Y V (its signed rows y_i (y_i v_i)
+    are V itself). The caller owns ``wy``.
     """
     n = x.shape[0]
-    cfg.validate_against(n)
-    if subset is None:
-        m = sample_subset(n, cfg.c, cfg.seed)
-    else:
-        m = np.sort(np.asarray(subset, dtype=int))
-        if m.shape[0] != cfg.c:
-            raise InvalidCountError(f"explicit subset has {m.shape[0]} indices, cfg.c={cfg.c}")
-        m = _check_subset(m, n)
-
+    m = sample_subset(n, cfg.c, cfg.seed)
     x_m, y_m = x[m], y[m]
     q, d = symmetric_evd(build_kernel_matrix(x_m, y_m, params))
-    weights = truncate_spectrum(q, d, cfg.r, cfg.eig_tol)
-    rank = weights.shape[1]
+    rank = int(np.count_nonzero(d[:cfg.r] > _EIG_TOL * max(d[0], 1.0)))
     if rank < cfg.r:
         warnings.warn(
             f"spectrum truncated to rank {rank} (requested {cfg.r}): "
@@ -178,6 +137,7 @@ def _design(x, y, params, cfg, subset):
             RuntimeWarning,
             stacklevel=3,
         )
+    weights = q[:, :rank] * (1.0 / np.sqrt(d[:rank]))[None, :]
     weights *= y_m[:, None]
     wy = np.empty((n, rank + 1))
     _rbf_sums(x, x_m, weights, params.gamma, out=wy[:, :rank], overwrite_features=True)
@@ -186,24 +146,24 @@ def _design(x, y, params, cfg, subset):
     return m, weights, wy
 
 
-def nystrom_factor(X, y, params, cfg, subset=None):
+def nystrom_factor(X, y, params, cfg):
     """Build the Nystrom factor for the label-weighted kernel matrix.
 
-    Samples a subset M of size c (or uses the caller-provided ``subset``),
-    eigendecomposes the sampled block Psi_MM, truncates its spectrum to
-    rank r, and forms v = Psi[:, M] @ Q_k @ diag(d_k)^(-1/2) as the
-    weighted RBF sums y * (K(X, X_M) @ W). Here W = y_M * Q_k diag(d_k)^(-1/2)
-    is the basis of :func:`truncate_spectrum` with its rows
-    signed by the landmark labels, so the N-by-c columns Psi[:, M] are never
-    stored. Each entry of v is within the sums bound of :mod:`admmsvm.kernel`
-    taken with the column sums of |W|, which grow as d_k^(-1/2): the
+    Samples the landmarks M of :func:`sample_subset`, eigendecomposes the
+    sampled block Psi_MM, keeps the k <= r leading eigenpairs that the
+    module docstring names, and forms v = Psi[:, M] @ Q_k @ diag(d_k)^(-1/2)
+    as the weighted RBF sums y * (K(X, X_M) @ W). Here W = y_M * Q_k
+    diag(d_k)^(-1/2) is the scaled eigenbasis with its rows signed by the
+    landmark labels, so the N-by-c columns Psi[:, M] are never stored.
+    Each entry of v is within the sums bound of :mod:`admmsvm.kernel` taken
+    with the column sums of |W|, which grow as d_k^(-1/2): the
     amplification that the product with the stored columns had. ``v`` is
     the first k columns of the same [V, y] buffer that training hands to
     its solve, so it has the bits training solves on. The returned arrays
     are read-only, and so is the buffer behind ``v``.
     """
     x, y = _check_samples(X, y)
-    m, weights, wy = _design(x, y, params, cfg, subset)
+    m, weights, wy = _design(x, y, params, cfg)
     for arr in (wy, m, weights):
         arr.flags.writeable = False
     return NystromFactor(v=wy[:, :-1], m=m, weights=weights)

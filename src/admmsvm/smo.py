@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import ConvergenceTrace, TraceRow, _check_two_classes, accuracy
+from .errors import NonFiniteError
 from .kernel import _check_samples, kernel_columns
 
 TAU = 1e-12  # replaces a non-positive curvature a_ij, as in LIBSVM
@@ -156,11 +157,13 @@ def smo_train(X, y, kernel, cfg):
     One trace row is recorded per pass with the dual objective and the
     training accuracy of the decisions y * (G + 1) + b; instrumentation is
     excluded from the recorded pass times, and kernel rows are evaluated
-    inside them.
+    inside them. Raises :class:`~admmsvm.errors.NonFiniteError` for NaN or
+    Inf features, checked once here rather than on each row fetch.
     """
-    y = np.asarray(y, dtype=float)
-    _check_two_classes(y)
     x, y = _check_samples(X, y)
+    _check_two_classes(y)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("features contain NaN or Inf")
     rows = {}
 
     def row(t):

@@ -60,7 +60,7 @@ class TrainReport:
     final_gap: float
 
 
-def train_nonlinear(X, y, kernel, nys, admm, subset=None, track_accuracy=False):
+def train_nonlinear(X, y, kernel, nys, admm, track_accuracy=False):
     """Train a nonlinear SVM through the low-rank linear reformulation.
 
     Steps: the Nystrom design [V, y], one N x (r+1) buffer from
@@ -78,7 +78,7 @@ def train_nonlinear(X, y, kernel, nys, admm, subset=None, track_accuracy=False):
     ``track_accuracy`` also records it at every iteration of the trace.
     """
     x, y = _check_samples(X, y)
-    m, weights, wy = _design(x, y, kernel, nys, subset)
+    m, weights, wy = _design(x, y, kernel, nys)
     linear = _solve(wy, admm, track_accuracy)
     model = support_model(x, y, m, weights @ linear.beta, linear.beta0, kernel)
     return TrainReport(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from admmsvm import admm
 from admmsvm.admm import AdmmConfig, AdmmState, build_system_matrix, solve_linear
-from admmsvm.errors import NonFiniteError, SingleClassError
+from admmsvm.errors import NonFiniteError, RankDeficientError, SingleClassError
 from admmsvm.kernel import KernelParams
 from admmsvm.nystrom import NystromConfig, nystrom_factor
 from admmsvm.synthetic import gaussian_blobs, mnist_like
@@ -242,8 +242,15 @@ def test_solve_rejects_a_single_class():
 
 
 def test_solve_rejects_fewer_than_two_samples():
-    with pytest.raises(ValueError):
+    # one row holds one class
+    with pytest.raises(SingleClassError):
         solve_linear(np.zeros((1, 3)), np.ones(1), AdmmConfig())
+
+
+def test_a_failed_factorisation_is_rank_deficient():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    with pytest.raises(RankDeficientError):
+        admm._system_factor(indefinite)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

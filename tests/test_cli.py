@@ -104,6 +104,14 @@ def test_single_class_training_data_is_a_data_error(tmp_path, monkeypatch, path)
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("path", cli.SOLVERS)
+def test_one_row_training_data_is_a_data_error(tmp_path, monkeypatch, path):
+    (tmp_path / "data.csv").write_text("0.5,-1.5,1\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--data", "data.csv", "--path", path]) == cli.EXIT_DATA
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_train_with_default_flags_converges(tmp_path, monkeypatch):
     ds = mnist_like(2048)
     np.savetxt(tmp_path / "data.csv", np.column_stack([ds.x, ds.y]), delimiter=",",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from admmsvm import cli, data_io
 from admmsvm.data_io import load_delimited, load_delimited_features, load_sparse_text
 from admmsvm.errors import AdmmSvmError, MissingValueError, ParseError
+from admmsvm.synthetic import mnist_like
 
 ROWS = "0.5,1.0,1\n-0.5,{cell},-1\n0.25,0.75,1\n"
 
@@ -46,6 +47,24 @@ def test_sparse_non_finite_value(tmp_path):
     with pytest.raises(ParseError) as err:
         load_sparse_text(path)
     assert err.value.line == 2
+
+
+def test_sparse_indices_are_one_based_columns_and_labels_map_to_plus_minus_one(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text("2 1:0.5 3:-1.5\n0 2:2.0\n2 3:4.0\n", encoding="utf-8")
+    ds = load_sparse_text(path)
+    np.testing.assert_array_equal(ds.x, [[0.5, 0.0, -1.5], [0.0, 2.0, 0.0], [0.0, 0.0, 4.0]])
+    np.testing.assert_array_equal(ds.y, [1.0, -1.0, 1.0])
+
+
+def test_cli_trains_on_a_sparse_file(tmp_path, monkeypatch):
+    ds = mnist_like(120, p=16, latent=8, seed=2)
+    lines = [f"{label:+.0f} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row) if v)
+             for row, label in zip(ds.x.tolist(), ds.y.tolist())]
+    (tmp_path / "data.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = ["train", "--data", "data.txt", "--format", "sparse", "--train-fraction", "0.7"]
+    assert cli.main(argv) == cli.EXIT_OK
 
 
 def test_cli_maps_malformed_files_to_data_exit(tmp_path, monkeypatch):

@@ -1,11 +1,11 @@
-"""Symmetric eigendecomposition and spectral truncation."""
+"""Symmetric eigendecomposition."""
 
 import numpy as np
 import pytest
 
-from admmsvm.errors import NoConvergenceError, NonFiniteError, RankDeficientError
+from admmsvm.errors import NoConvergenceError, NonFiniteError
 from admmsvm.kernel import KernelParams
-from admmsvm.nystrom import NystromConfig, nystrom_factor, symmetric_evd, truncate_spectrum
+from admmsvm.nystrom import NystromConfig, nystrom_factor, symmetric_evd
 from admmsvm.synthetic import mnist_like
 
 
@@ -102,34 +102,3 @@ def test_outputs_read_only():
     q, d = symmetric_evd(random_symmetric(5, seed=4))
     assert not q.flags.writeable and not d.flags.writeable
 
-
-class TestTruncateSpectrum:
-    def _evd(self, d):
-        return symmetric_evd(np.diag(np.sort(np.asarray(d, dtype=float))[::-1]))
-
-    def test_two_of_three_kept(self):
-        basis = truncate_spectrum(*self._evd([4.0, 1.0, 0.0]), r=2, eig_tol=1e-12)
-        # leading eigenvectors e0, e1, each scaled by d^(-1/2)
-        np.testing.assert_allclose(basis, [[0.5, 0.0], [0.0, 1.0], [0.0, 0.0]])
-
-    def test_tiny_eigenvalue_dropped(self):
-        basis = truncate_spectrum(*self._evd([4.0, 1e-15, 0.0]), r=2, eig_tol=1e-10)
-        assert basis.shape[1] == 1
-
-    def test_single_eigenvalue(self):
-        basis = truncate_spectrum(*self._evd([9.0]), r=1, eig_tol=0.0)
-        np.testing.assert_allclose(basis, [[1.0 / 3.0]])
-
-    def test_full_rank_keeps_everything(self):
-        rng = np.random.default_rng(11)
-        b = rng.standard_normal((8, 8))
-        basis = truncate_spectrum(*symmetric_evd(b @ b.T + 0.5 * np.eye(8)), r=8, eig_tol=0.0)
-        assert basis.shape[1] == 8
-
-    def test_rank_deficient_raises(self):
-        with pytest.raises(RankDeficientError):
-            truncate_spectrum(*self._evd([1e-14, 0.0]), r=1, eig_tol=1e-10)
-
-    def test_bad_rank_rejected(self):
-        with pytest.raises(ValueError):
-            truncate_spectrum(*self._evd([1.0, 1.0]), r=3, eig_tol=0.0)

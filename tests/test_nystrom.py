@@ -5,13 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from admmsvm import nystrom
 from admmsvm.admm import AdmmConfig, solve_linear
-from admmsvm.errors import (
-    DimensionMismatchError,
-    DuplicateIndexError,
-    IndexOutOfRangeError,
-    InvalidCountError,
-)
+from admmsvm.errors import DimensionMismatchError, InvalidCountError
 from admmsvm.kernel import KernelParams, build_kernel_matrix
 from admmsvm.nystrom import (
     NystromConfig,
@@ -73,19 +69,14 @@ def test_config_bounds():
     with pytest.raises(InvalidCountError):
         NystromConfig(c=2, r=3)
     with pytest.raises(InvalidCountError):
-        NystromConfig(c=4, r=2).validate_against(3)
-
-
-@pytest.mark.parametrize("eig_tol", [np.nan, np.inf, -1.0])
-def test_config_rejects_a_nan_infinite_or_negative_eig_tol(eig_tol):
-    with pytest.raises(ValueError):
-        NystromConfig(c=4, r=2, eig_tol=eig_tol)
+        nystrom_factor(*make_data(3), PARAMS, NystromConfig(c=4, r=2))
 
 
 def test_exact_when_subset_covers_everything():
     x, y = make_data(6, seed=1)
     psi = build_kernel_matrix(x, y, PARAMS)
-    factor = nystrom_factor(x, y, PARAMS, NystromConfig(c=6, r=6, seed=0, eig_tol=0.0))
+    factor = nystrom_factor(x, y, PARAMS, NystromConfig(c=6, r=6, seed=0))
+    assert factor.effective_rank == 6
     rel = np.linalg.norm(psi - factor.v @ factor.v.T) / np.linalg.norm(psi)
     assert rel <= 1e-8
 
@@ -131,7 +122,7 @@ def test_approximation_is_positive_semidefinite():
 def test_mse_zero_for_exact_factor():
     x, y = make_data(6, seed=2)
     psi = build_kernel_matrix(x, y, PARAMS)
-    factor = nystrom_factor(x, y, PARAMS, NystromConfig(c=6, r=6, seed=0, eig_tol=0.0))
+    factor = nystrom_factor(x, y, PARAMS, NystromConfig(c=6, r=6, seed=0))
     assert approximation_mse(psi, factor) <= 1e-12
 
 
@@ -186,7 +177,7 @@ def test_mean_mse_improves_with_subset_size():
     for c in (8, 16, 32, 64):
         vals = [
             approximation_mse(
-                psi, nystrom_factor(x, y, PARAMS, NystromConfig(c=c, r=c, seed=s, eig_tol=0.0))
+                psi, nystrom_factor(x, y, PARAMS, NystromConfig(c=c, r=c, seed=s))
             )
             for s in range(20)
         ]
@@ -200,48 +191,50 @@ def test_full_spectral_rank_beats_half_for_fixed_subset():
     for c in (16, 32):
         full = np.mean([
             approximation_mse(
-                psi, nystrom_factor(x, y, PARAMS, NystromConfig(c=c, r=c, seed=s, eig_tol=0.0))
+                psi, nystrom_factor(x, y, PARAMS, NystromConfig(c=c, r=c, seed=s))
             )
             for s in range(20)
         ])
         half = np.mean([
             approximation_mse(
-                psi, nystrom_factor(x, y, PARAMS, NystromConfig(c=c, r=c // 2, seed=s, eig_tol=0.0))
+                psi, nystrom_factor(x, y, PARAMS, NystromConfig(c=c, r=c // 2, seed=s))
             )
             for s in range(20)
         ])
         assert full <= half
 
 
-def test_explicit_subset_override():
+@pytest.mark.parametrize("spectrum, rank", [
+    ([4.0, 1.0, 4e-10, 0.0], 2),  # at the threshold 1e-10 * 4 is dropped
+    ([0.5, 2e-10, 8e-11, 0.0], 2),  # below 1, the threshold is 1e-10 * 1
+])
+def test_kept_rank_counts_eigenvalues_above_the_relative_threshold(monkeypatch, spectrum, rank):
     x, y = make_data(12, seed=13)
-    subset = np.array([1, 4, 7, 9])
-    factor = nystrom_factor(x, y, PARAMS, NystromConfig(c=4, r=4, seed=0), subset=subset)
-    np.testing.assert_array_equal(factor.m, subset)
+    d = np.array(spectrum)
+    monkeypatch.setattr(nystrom, "symmetric_evd", lambda psi_mm: (np.eye(4), d))
+    with pytest.warns(RuntimeWarning, match=f"rank {rank} "):
+        factor = nystrom_factor(x, y, PARAMS, NystromConfig(c=4, r=4, seed=0))
+    scaled = np.eye(4)[:, :rank] / np.sqrt(d[:rank])
+    np.testing.assert_array_equal(factor.weights, y[factor.m][:, None] * scaled)
 
 
-def factor_through_nystrom(x, y, subset):
-    return nystrom_factor(x, y, PARAMS, NystromConfig(c=3, r=3), subset=subset)
+def factor_through_nystrom(x, y):
+    return nystrom_factor(x, y, PARAMS, NystromConfig(c=3, r=3))
 
 
-def factor_through_training(x, y, subset):
-    return train_nonlinear(x, y, PARAMS, NystromConfig(c=3, r=3), AdmmConfig(), subset=subset)
+def factor_through_training(x, y):
+    return train_nonlinear(x, y, PARAMS, NystromConfig(c=3, r=3), AdmmConfig())
 
 
 @pytest.mark.parametrize("entry", [factor_through_nystrom, factor_through_training])
-@pytest.mark.parametrize("subset, labels, error", [
-    ([-1, 0, 2], None, IndexOutOfRangeError),
-    ([0, 2, 12], None, IndexOutOfRangeError),
-    ([1, 1, 3], None, DuplicateIndexError),
-    ([1, 4, 7], [1.0, 0.0] * 6, ValueError),
-    ([1, 4, 7], [1.0, -1.0] * 5, DimensionMismatchError),
+@pytest.mark.parametrize("labels, error", [
+    ([1.0, 0.0] * 6, ValueError),
+    ([1.0, -1.0] * 5, DimensionMismatchError),
 ])
-def test_explicit_subset_errors_are_typed(entry, subset, labels, error):
-    x, y = make_data(12, seed=13)
-    if labels is not None:
-        y = np.array(labels)
+def test_label_errors_are_typed(entry, labels, error):
+    x, _ = make_data(12, seed=13)
     with pytest.raises(error):
-        entry(x, y, subset)
+        entry(x, np.array(labels))
 
 
 @pytest.fixture(scope="module")

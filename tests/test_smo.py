@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from admmsvm import smo
+from admmsvm.errors import NonFiniteError
 from admmsvm.kernel import KernelParams, build_kernel_matrix
 from admmsvm.smo import SmoConfig, smo_train
 from admmsvm.svm import NonlinearModel, accuracy, decision_values
@@ -177,3 +178,21 @@ def test_training_peak_memory_stays_far_below_the_matrix():
 def test_config_rejects_out_of_range_settings(field, value):
     with pytest.raises(ValueError):
         SmoConfig(**{field: value})
+
+
+def test_labels_are_checked_before_the_two_classes():
+    ds = mnist_like(20)
+    # all 2.0 is one value, but not a +-1 label: a label error, not a single class
+    with pytest.raises(ValueError, match="labels must be"):
+        smo_train(ds.x, np.full(20, 2.0), RBF, SmoConfig())
+
+
+def test_non_finite_features_are_rejected_before_any_row_fetch(monkeypatch):
+    ds = mnist_like(200, seed=1)
+    x = ds.x.copy()
+    x[7, 3] = np.nan
+    fetched = []
+    monkeypatch.setattr(smo, "kernel_columns", lambda *args: fetched.append(args))
+    with pytest.raises(NonFiniteError):
+        smo_train(x, ds.y, RBF, SmoConfig())
+    assert fetched == []
