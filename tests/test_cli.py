@@ -350,7 +350,7 @@ def test_study_smo_row_is_smo_at_the_box_one_over_lambda(study):
 
 
 def test_study_truncates_the_factor_as_train_does(tmp_path, monkeypatch):
-    # repeated rows make the sampled block singular, so eig_tol drops eigenpairs
+    # repeated rows make the sampled block singular, so its near-zero eigenpairs are dropped
     base = mnist_like(64, seed=5)
     x, y = np.repeat(base.x, 4, axis=0), np.repeat(base.y, 4)
     _write_data(tmp_path, x, y)
