@@ -1,10 +1,13 @@
-"""Symmetric eigendecomposition."""
+"""Symmetric eigendecomposition and spectral truncation."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from admmsvm.errors import NoConvergenceError, NonFiniteError
-from admmsvm.kernel import KernelParams
+from admmsvm import nystrom
+from admmsvm.errors import InvalidCountError, NoConvergenceError, NonFiniteError
+from admmsvm.kernel import KernelParams, build_kernel_matrix
 from admmsvm.nystrom import NystromConfig, nystrom_factor, symmetric_evd
 from admmsvm.synthetic import mnist_like
 
@@ -102,3 +105,68 @@ def test_outputs_read_only():
     q, d = symmetric_evd(random_symmetric(5, seed=4))
     assert not q.flags.writeable and not d.flags.writeable
 
+
+
+class TestTruncateSpectrum:
+    """The kept rank and scaled eigenbasis of the Nystrom layer, on chosen spectra."""
+
+    def _basis(self, monkeypatch, q, d, r):
+        # nystrom_factor looks symmetric_evd up at call time, so the patched
+        # spectrum is the one truncated; W = y_M * basis and y_M * y_M = 1
+        c = d.shape[0]
+        ds = mnist_like(4 * c, seed=c)
+        monkeypatch.setattr(nystrom, "symmetric_evd", lambda psi_mm: (q, d))
+        factor = nystrom_factor(ds.x, ds.y, KernelParams(gamma=-1.0), NystromConfig(c=c, r=r))
+        return factor.weights * ds.y[factor.m][:, None]
+
+    def _diagonal(self, monkeypatch, d, r):
+        d = np.sort(np.asarray(d, dtype=float))[::-1]
+        return self._basis(monkeypatch, np.eye(d.shape[0]), d, r)
+
+    def test_two_of_three_kept(self, monkeypatch):
+        basis = self._diagonal(monkeypatch, [4.0, 1.0, 0.0], r=2)
+        # leading eigenvectors e0, e1, each scaled by d^(-1/2)
+        np.testing.assert_array_equal(basis, [[0.5, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+    def test_tiny_eigenvalue_dropped(self, monkeypatch):
+        with pytest.warns(RuntimeWarning, match="rank 1 "):
+            basis = self._diagonal(monkeypatch, [4.0, 1e-15, 0.0], r=2)
+        assert basis.shape[1] == 1
+
+    def test_single_eigenvalue(self, monkeypatch):
+        basis = self._diagonal(monkeypatch, [9.0], r=1)
+        np.testing.assert_allclose(basis, [[1.0 / 3.0]], rtol=0, atol=1e-16)
+
+    def test_full_rank_keeps_everything(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        b = rng.standard_normal((8, 8))
+        q, d = symmetric_evd(b @ b.T + 0.5 * np.eye(8))
+        basis = self._basis(monkeypatch, q, d, r=8)
+        assert basis.shape[1] == 8
+        np.testing.assert_array_equal(basis, q * (1.0 / np.sqrt(d))[None, :])
+
+    def test_bad_rank_rejected(self):
+        for c, r in ((2, 3), (2, 0)):
+            with pytest.raises(InvalidCountError):
+                NystromConfig(c=c, r=r)
+
+
+@pytest.mark.parametrize("seed, repeat, gamma", [
+    (1, False, -1.0),
+    (2, True, -1.0),  # every row the same: Psi_MM = y_M y_M^T, rank 1
+    (3, False, -1e6),  # rows far apart: Psi_MM ~ I
+])
+def test_sampled_block_keeps_its_leading_eigenvalue(seed, repeat, gamma):
+    # Psi_MM has a unit diagonal, so its largest eigenvalue is at least 1
+    # and the truncation always keeps it: the factor never has rank 0
+    ds = mnist_like(64, seed=seed)
+    x, y = (np.tile(ds.x[:1], (64, 1)) if repeat else ds.x), ds.y
+    params = KernelParams(gamma=gamma)
+    m = nystrom.sample_subset(64, 16, 0)
+    psi_mm = build_kernel_matrix(x[m], y[m], params)
+    np.testing.assert_array_equal(np.diag(psi_mm), np.ones(16))
+    assert symmetric_evd(psi_mm)[1][0] >= 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        factor = nystrom_factor(x, y, params, NystromConfig(c=16, r=16))
+    assert factor.effective_rank >= 1

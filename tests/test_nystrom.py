@@ -218,6 +218,23 @@ def test_kept_rank_counts_eigenvalues_above_the_relative_threshold(monkeypatch, 
     np.testing.assert_array_equal(factor.weights, y[factor.m][:, None] * scaled)
 
 
+def test_explicit_subset_override(monkeypatch):
+    # the layer looks sample_subset up at call time, so a landmark
+    # experiment can swap in its own subset by patching it
+    x, y = make_data(12, seed=13)
+    subset = np.array([1, 4, 7, 9])
+    monkeypatch.setattr(nystrom, "sample_subset", lambda n, c, seed: subset)
+    nys = NystromConfig(c=4, r=4, seed=0)
+    factor = nystrom_factor(x, y, PARAMS, nys)
+    np.testing.assert_array_equal(factor.m, subset)
+    # training draws the same landmarks: its support is W beta on them
+    weighted = factor.weights @ solve_linear(factor.v, y, AdmmConfig()).beta
+    keep = np.abs(weighted) > SUPPORT_DROP_TOL
+    model = train_nonlinear(x, y, PARAMS, nys, AdmmConfig()).model
+    np.testing.assert_array_equal(model.indices, subset[keep])
+    np.testing.assert_array_equal(model.alpha_weighted, weighted[keep])
+
+
 def factor_through_nystrom(x, y):
     return nystrom_factor(x, y, PARAMS, NystromConfig(c=3, r=3))
 
