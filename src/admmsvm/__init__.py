@@ -8,7 +8,6 @@ from .admm import (
     TraceRow,
     admm_step,
     build_system_matrix,
-    precompute_z,
     primal_objective,
     solve_linear,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "load_model",
     "load_sparse_text",
     "nystrom_factor",
-    "precompute_z",
     "primal_objective",
     "rbf",
     "sample_subset",

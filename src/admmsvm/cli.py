@@ -212,16 +212,19 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
+    if args.no_labels and args.format == "sparse":
+        raise ValueError("--no-labels reads delimited files; sparse lines start with a label")
     model = load_model(resolve_data_path(args.model))
     sidecar = resolve_data_path(args.model) + ".scaling.json"
 
-    path = resolve_data_path(args.data)
     labels = None
     if args.no_labels:
-        x = load_delimited_features(path, delimiter=args.delimiter)
+        x = load_delimited_features(resolve_data_path(args.data), delimiter=args.delimiter)
     else:
-        ds = load_delimited(path, args.label_column, delimiter=args.delimiter)
+        ds = _load_dataset(args)
         x, labels = ds.x, ds.y
+    if args.format == "sparse":  # absent indices are zeros, up to the model's width
+        x = np.pad(x, ((0, 0), (0, max(model.p - x.shape[1], 0))))
     if os.path.exists(sidecar):
         with open(sidecar, "r", encoding="utf-8") as fh:
             try:
@@ -362,9 +365,7 @@ def build_parser():
 
     p_pred = sub.add_parser("predict", help="write per-row labels and decision values")
     p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--data", required=True)
-    p_pred.add_argument("--label-column", type=int, default=-1)
-    p_pred.add_argument("--delimiter", default=",")
+    _add_data_flags(p_pred)
     p_pred.add_argument("--no-labels", action="store_true",
                         help="data file has feature columns only")
     p_pred.add_argument("--out", default="predictions.csv")

@@ -66,7 +66,7 @@ def train_nonlinear(X, y, kernel, nys, admm, track_accuracy=False):
     Steps: the Nystrom design [V, y], one N x (r+1) buffer from
     :func:`admmsvm.nystrom._design` (the same V that
     :func:`admmsvm.nystrom.nystrom_factor` returns); the linear ADMM solve
-    on Y V, which overwrites the buffer with Z, so training holds one
+    on Y V, which only reads the buffer, so training holds one
     design-sized array; recovery of the label-weighted dual weights on the
     sampled subset as y_M * alpha_M = W beta, with the factor's landmark
     weights W = y_M * Q_k D_k^(-1/2); support entries below

@@ -36,8 +36,8 @@ def solve_recording_states(w, y, cfg):
     states = []
     step = admm.admm_step
 
-    def recording_step(z, state, rho):
-        states.append(step(z, state, rho))
+    def recording_step(wy, a_inv, state, rho):
+        states.append(step(wy, a_inv, state, rho))
         return states[-1]
 
     with mock.patch.object(admm, "admm_step", recording_step):
@@ -48,11 +48,6 @@ def solve_recording_states(w, y, cfg):
 def augmented(w, y):
     """The textbook design xt = [x, 1], with x_i = y_i w_i."""
     return np.hstack([y[:, None] * w, np.ones((w.shape[0], 1))])
-
-
-def solver_basis(w, y, cfg):
-    """The solver's basis L^(-T), from the Cholesky factor L of its system matrix."""
-    return np.linalg.inv(np.linalg.cholesky(build_system_matrix(w, y, cfg.lambda_, cfg.rho))).T
 
 
 def textbook_system(w, y, cfg):
@@ -99,39 +94,16 @@ def test_every_step_matches_the_textbook_update(make_design, relax):
     assert model.converged
     assert len(states) == model.iterations == len(model.trace)
 
-    recover = solver_basis(w, y, cfg)
     for state, (u, aux, beta_tilde) in zip(states, textbook_iterates(w, y, cfg, relax)):
         tol = 1e-9 * (1.0 + np.abs(u).max())
         np.testing.assert_allclose(state.u, u, rtol=0.0, atol=tol)
         np.testing.assert_allclose(state.a_hat, cfg.rho * aux, rtol=0.0, atol=tol)
-        np.testing.assert_allclose(recover @ state.s, beta_tilde, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(state.beta_tilde, beta_tilde, rtol=1e-9, atol=1e-12)
         margins = y * (augmented(w, y) @ beta_tilde)
         np.testing.assert_allclose(state.margins, margins, rtol=0.0,
                                    atol=1e-9 * (1.0 + np.abs(margins).max()))
-    np.testing.assert_array_equal(model.beta, (recover @ states[-1].s)[:-1])
-
-
-@pytest.mark.parametrize("make_design", [lambda: nystrom_design(512), blobs_design],
-                         ids=["nystrom_512", "blobs_200"])
-def test_z_applies_the_inverse_of_the_system_matrix(make_design):
-    """Z Z^T = W_tilde A^(-1) W_tilde^T, whichever square root of A^(-1) formed Z."""
-    w, y = make_design()
-    cfg = AdmmConfig()
-    formed = []
-    precompute = admm.precompute_z
-
-    def recording_precompute(wy, basis):
-        z = precompute(wy, basis)
-        formed.append(z.copy())
-        return z
-
-    with mock.patch.object(admm, "precompute_z", recording_precompute):
-        solve_linear(w, y, cfg)
-    (z,) = formed
-    wt = np.column_stack([w, y])
-    expected = wt @ np.linalg.inv(textbook_system(w, y, cfg)) @ wt.T
-    np.testing.assert_allclose(z @ z.T, expected, rtol=0.0,
-                               atol=1e-12 * np.abs(expected).max())
+    np.testing.assert_array_equal(model.beta, states[-1].beta_tilde[:-1])
+    assert model.beta0 == states[-1].beta_tilde[-1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,10 +125,13 @@ def test_every_state_is_a_box_projection(lambda_, rho, n, p, seed):
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_step_raises_on_a_non_finite_iterate(bad):
-    z = np.random.default_rng(0).standard_normal((6, 3))
-    z[2, 1] = bad
+    w, y = blobs_design()
+    wy = np.column_stack([w, y])
+    a_inv = np.linalg.inv(build_system_matrix(w, y, 10.0, 1.0))
+    u = np.zeros_like(y)
+    u[2] = bad
     with pytest.raises(NonFiniteError):
-        admm.admm_step(z, AdmmState(a_hat=np.zeros(6), u=np.zeros(6)), 1.0)
+        admm.admm_step(wy, a_inv, AdmmState(a_hat=np.zeros_like(y), u=u), 1.0)
 
 
 def test_stops_at_the_first_check_with_a_small_gap():
@@ -278,20 +253,3 @@ def test_solve_does_not_write_to_its_rows_or_labels():
     before = w.tobytes(), y.tobytes()
     solve_linear(w, y, AdmmConfig())
     assert (w.tobytes(), y.tobytes()) == before
-
-
-@pytest.mark.parametrize("blocks", [0.5, 3.4], ids=["under_one_block", "partial_last_block"])
-def test_z_formed_in_place_equals_the_whole_product(blocks):
-    w, y = nystrom_design(512)
-    rows = admm._Z_BLOCK_BYTES // (8 * (w.shape[1] + 1))
-    n = int(blocks * rows)
-    assert n % rows and n <= 512
-    w, y = w[:n], y[:n]
-    cfg = AdmmConfig()
-    basis = solver_basis(w, y, cfg)
-    # one product over all rows, then +-basis[-1] by label: Z before it was formed in blocks
-    expected = w @ basis[:-1] + y[:, None] * basis[-1]
-    wy = np.column_stack([w, y])
-    z = admm.precompute_z(wy, basis)
-    assert z is wy
-    assert z.tobytes() == expected.tobytes()

@@ -242,6 +242,78 @@ def test_predict_applies_a_valid_scaling_sidecar(tmp_path, zscore_model):
     assert code == cli.EXIT_OK
 
 
+def _write_sparse(path, x, y):
+    """LIBSVM-style "label idx:val" lines that list the non-zero features only."""
+    lines = [f"{label:+.0f} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row) if v)
+             for row, label in zip(x.tolist(), y.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def sparse_model(tmp_path_factory):
+    """A model that train --format sparse wrote from a 16-wide sparse file, and its rows."""
+    root = tmp_path_factory.mktemp("sparse")
+    ds = mnist_like(120, p=16, latent=8, seed=2)
+    _write_sparse(root / "data.txt", ds.x, ds.y)
+    code = cli.main(["train", "--data", str(root / "data.txt"), "--format", "sparse",
+                     "--out-model", str(root / "model.svm"),
+                     "--out-report", str(root / "report.json"),
+                     "--out-trace", str(root / "trace.csv")])
+    assert code == cli.EXIT_OK
+    return (root / "model.svm").read_bytes(), ds
+
+
+def _predict_both_forms(tmp_path, monkeypatch, blob, x, y):
+    """predict's exit codes and outputs on the rows as a sparse file and as a CSV."""
+    (tmp_path / "model.svm").write_bytes(blob)
+    _write_sparse(tmp_path / "data.txt", x, y)
+    _write_data(tmp_path, x, y)
+    monkeypatch.chdir(tmp_path)
+    codes = (cli.main(["predict", "--model", "model.svm", "--data", "data.txt",
+                       "--format", "sparse", "--out", "sparse.csv"]),
+             cli.main(["predict", "--model", "model.svm", "--data", "data.csv",
+                       "--out", "dense.csv"]))
+    return codes, (tmp_path / "sparse.csv").read_bytes(), (tmp_path / "dense.csv").read_bytes()
+
+
+def test_predict_reads_the_sparse_file_that_train_read(tmp_path, monkeypatch, sparse_model):
+    blob, ds = sparse_model
+    codes, sparse, dense = _predict_both_forms(tmp_path, monkeypatch, blob, ds.x, ds.y)
+    assert codes == (cli.EXIT_OK, cli.EXIT_OK)
+    assert sparse == dense
+
+
+def test_predict_pads_a_narrower_sparse_file_with_zeros(tmp_path, monkeypatch, sparse_model):
+    blob, ds = sparse_model
+    x = ds.x.copy()
+    x[:, -2:] = 0.0  # no row lists indices 15 or 16, so the file loads 14 wide
+    codes, sparse, dense = _predict_both_forms(tmp_path, monkeypatch, blob, x, ds.y)
+    assert codes == (cli.EXIT_OK, cli.EXIT_OK)
+    assert sparse == dense
+
+
+def test_predict_rejects_a_sparse_index_beyond_the_model_width(tmp_path, monkeypatch,
+                                                                sparse_model):
+    blob, ds = sparse_model
+    (tmp_path / "model.svm").write_bytes(blob)
+    _write_sparse(tmp_path / "data.txt", np.column_stack([ds.x, np.ones(ds.n)]), ds.y)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["predict", "--model", "model.svm", "--data", "data.txt", "--format", "sparse"])
+    assert code == cli.EXIT_DATA
+    assert not (tmp_path / "predictions.csv").exists()
+
+
+def test_predict_rejects_no_labels_on_a_sparse_file(tmp_path, monkeypatch, sparse_model):
+    blob, ds = sparse_model
+    (tmp_path / "model.svm").write_bytes(blob)
+    _write_sparse(tmp_path / "data.txt", ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["predict", "--model", "model.svm", "--data", "data.txt", "--format", "sparse",
+                     "--no-labels"])
+    assert code == cli.EXIT_USAGE
+    assert not (tmp_path / "predictions.csv").exists()
+
+
 def test_zscore_is_fitted_on_the_training_rows_alone(tmp_path, monkeypatch):
     ds = mnist_like(200, p=40, seed=4)
     np.savetxt(tmp_path / "data.csv", np.column_stack([ds.x, ds.y]), delimiter=",",

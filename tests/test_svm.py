@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import admmsvm
+from admmsvm import svm
 from admmsvm.admm import AdmmConfig, solve_linear
 from admmsvm.kernel import KernelParams
 from admmsvm.nystrom import NystromConfig, nystrom_factor
@@ -54,6 +56,25 @@ def test_training_and_prediction_leave_the_inputs_and_features_intact():
     assert model.features.tobytes() == features.tobytes()
 
 
+def test_the_solve_leaves_the_design_intact():
+    ds = mnist_like(256)
+    kernel, nys = KernelParams(gamma=-1.0), NystromConfig(c=32, r=32)
+    designs = []
+    solve = svm._solve
+
+    def spying_solve(wy, cfg, track_accuracy):
+        linear = solve(wy, cfg, track_accuracy)
+        designs.append(wy)
+        return linear
+
+    with mock.patch.object(svm, "_solve", spying_solve):
+        train_nonlinear(ds.x, ds.y, kernel, nys, AdmmConfig())
+    (wy,) = designs
+    v = nystrom_factor(ds.x, ds.y, kernel, nys).v
+    assert wy[:, :-1].tobytes() == np.ascontiguousarray(v).tobytes()
+    assert wy[:, -1].tobytes() == ds.y.tobytes()
+
+
 def test_last_trace_accuracy_equals_model_accuracy():
     ds = mnist_like(512)
     report = train_nonlinear(ds.x, ds.y, KernelParams(gamma=-1.0), NystromConfig(c=64, r=64),
@@ -83,7 +104,7 @@ def test_training_holds_few_design_sized_arrays(p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one N x (r+1) buffer holds [V, y] and then Z; beside it, the factor's
+    # one N x (r+1) buffer holds [V, y]; beside it, the factor's
     # sum blocks (and at p=784 its landmark rows) or the solver's N-vectors
     assert peak <= {64: 1.75, 784: 2.0}[p] * n * (r + 1) * 8
 
