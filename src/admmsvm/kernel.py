@@ -7,16 +7,17 @@ label-weighted matrix has entries y_i * y_j * k(x_i, x_j).
 RBF values come from two evaluators with two contracts:
 
 - Entries of Q, through ``_sq_dists``: the full kernel matrix (and with it
-  the Nystrom landmark block Psi_MM) and kernel columns (the rows of Q that
-  :mod:`admmsvm.smo` fetches one at a time). Each entry is
+  the Nystrom landmark block Psi_MM), kernel columns, and the row source
+  ``kernel_rows`` from which :mod:`admmsvm.smo` fetches the rows of Q one
+  at a time. Each entry is
   exp(gamma * max(0, (s_i + s_j) - 2 <x_i - mu, x_j - mu>)) with mu = X[0]
   and s_i = ||x_i - mu||^2, over rows centred in blocks of
   ``_BLOCK_BUDGET_BYTES``. The dot products are einsum's fixed-order loop,
   not BLAS, so an entry depends on its pair alone, not on the block or
   the call it fell in. The entries are therefore consistent with each
-  other bit for bit: kernel columns equal the matching columns of the full
-  matrix, the matrix is exactly symmetric with a unit diagonal, and
-  repeated calls give the same bits. Each entry is within
+  other bit for bit: kernel columns and rows equal the matching columns and
+  rows of the full matrix, the matrix is exactly symmetric with a unit
+  diagonal, and repeated calls give the same bits. Each entry is within
   4 * eps * (1 + |gamma| * (s_i + s_j)) of the per-pair reference
   :func:`rbf`, but not bitwise equal to it.
 - Weighted sums sum_j w_j k(q, f_j), through ``_rbf_sums``: the decision
@@ -66,31 +67,26 @@ def rbf(xi, xj, params):
     return float(np.exp(params.gamma * np.sum(diff * diff, axis=-1)))
 
 
-def _centre(x, mu, out):
-    """Write x - mu into the leading C-ordered rows of out.
-
-    Returns those rows and their squared norms. Every dot product over them
-    runs the same fixed-order loop, whichever block a row falls in.
-    """
-    xc = np.subtract(x, mu, out=out[:x.shape[0]])
-    return xc, np.einsum("ij,ij->i", xc, xc)
+def _sq_norms(xc):
+    """Squared norms of centred rows, by one fixed-order loop whichever block a row is in."""
+    return np.einsum("ij,ij->i", xc, xc)
 
 
 def _blocks(x, mu, width=0, start=0):
-    """Centred blocks of rows start: of x, for entries against ``width`` columns.
+    """Blocks of rows start: of x centred on mu, for entries against ``width`` columns.
 
     A block's centred rows, and its entries, each fit ``_BLOCK_BUDGET_BYTES``.
-    Yields (first row, rows, squared norms); one buffer serves every block.
+    Yields (first row, centred rows); one C-ordered buffer serves every block.
     """
     n, p = x.shape
     rows = max(1, _BLOCK_BUDGET_BYTES // (8 * max(p, width, 1)))
     buf = np.empty((min(rows, n - start), p))
     for i in range(start, n, rows):
-        yield (i, *_centre(x[i:i + rows], mu, buf))
+        yield i, np.subtract(x[i:i + rows], mu, out=buf[:min(rows, n - i)])
 
 
 def _sq_dists(a, a_sq, b, b_sq, out):
-    """(a_sq_i + b_sq_j) - 2 <a_i, b_j> into out, for centred rows from ``_centre``.
+    """(a_sq_i + b_sq_j) - 2 <a_i, b_j> into out, for centred rows and their ``_sq_norms``.
 
     The cross term is einsum's fixed-order dot product, not BLAS, so an
     entry depends on its pair alone and is the same with its arguments
@@ -186,10 +182,11 @@ def build_kernel_matrix(X, y, params):
     n = x.shape[0]
     psi = np.empty((n, n))
     mu = x[:1]
-    for start, a, a_sq in _blocks(x, mu):
+    for start, a in _blocks(x, mu):
         stop = start + a.shape[0]
-        for col, b, b_sq in _blocks(x, mu, a.shape[0], start):
-            _sq_dists(a, a_sq, b, b_sq, psi[start:stop, col:col + b.shape[0]])
+        a_sq = _sq_norms(a)
+        for col, b in _blocks(x, mu, a.shape[0], start):
+            _sq_dists(a, a_sq, b, _sq_norms(b), psi[start:stop, col:col + b.shape[0]])
         _rbf_in_place(psi[start:stop, start:], params.gamma)
         psi[stop:, start:stop] = psi[start:stop, stop:].T
     psi *= y[:, None]
@@ -199,6 +196,26 @@ def build_kernel_matrix(X, y, params):
     return psi
 
 
+def _columns(x, y, gamma, m, x_sq=None):
+    """Columns m of Q for checked inputs; x_sq, when given, holds every row's ``_sq_norms``."""
+    n = x.shape[0]
+    mu = x[:1]
+    b = np.take(x, m, axis=0, out=np.empty((m.shape[0], x.shape[1])))
+    b = np.subtract(b, mu, out=b)
+    b_sq = _sq_norms(b)
+    cols = np.empty((n, m.shape[0]))
+    for start, a in _blocks(x, mu, m.shape[0]):
+        stop = start + a.shape[0]
+        a_sq = _sq_norms(a) if x_sq is None else x_sq[start:stop]
+        _sq_dists(a, a_sq, b, b_sq, cols[start:stop])
+    _rbf_in_place(cols, gamma)
+    cols *= y[:, None]
+    cols *= y[m][None, :]
+    # entries on the sampled diagonal are k(x, x) = 1 exactly
+    cols[m, np.arange(m.shape[0])] = 1.0
+    return cols
+
+
 def kernel_columns(X, y, params, M):
     """Columns M of the full kernel matrix, without N-by-N storage.
 
@@ -206,17 +223,24 @@ def kernel_columns(X, y, params, M):
     ``build_kernel_matrix(X, y, params)`` exactly.
     """
     x, y = _check_samples(X, y)
+    return _columns(x, y, params.gamma, _check_subset(M, x.shape[0]))
+
+
+def kernel_rows(X, y, params):
+    """A row source for one run: ``row(t)`` returns row t of the full kernel matrix.
+
+    The inputs are checked and the N centred squared norms computed once,
+    here; each call then re-centres the rows block by block, without an
+    N-by-p copy, and returns a new array equal to row t of
+    ``build_kernel_matrix(X, y, params)`` exactly.
+    """
+    x, y = _check_samples(X, y)
     n = x.shape[0]
-    m = _check_subset(M, n)
-    mu = x[:1]
-    b = np.take(x, m, axis=0, out=np.empty((m.shape[0], x.shape[1])))
-    b, b_sq = _centre(b, mu, b)
-    cols = np.empty((n, m.shape[0]))
-    for start, a, a_sq in _blocks(x, mu, m.shape[0]):
-        _sq_dists(a, a_sq, b, b_sq, cols[start:start + a.shape[0]])
-    _rbf_in_place(cols, params.gamma)
-    cols *= y[:, None]
-    cols *= y[m][None, :]
-    # entries on the sampled diagonal are k(x, x) = 1 exactly
-    cols[m, np.arange(m.shape[0])] = 1.0
-    return cols
+    x_sq = np.concatenate([_sq_norms(a) for _, a in _blocks(x, x[:1])])
+
+    def row(t):
+        if not 0 <= t < n:
+            raise IndexOutOfRangeError(f"row index must lie in [0, {n}), got {t}")
+        return _columns(x, y, params.gamma, np.array([t]), x_sq)[:, 0]
+
+    return row

@@ -12,11 +12,12 @@ from two rows of Q per step. The solver stops once the maximal violating
 pair's gap m(alpha) - M(alpha) falls below ``kkt_tol``. A pass is at most
 N pair updates.
 
-Q is never built. Row t comes from ``kernel_columns`` the first time a step
-selects t and is kept for the rest of the run, as LIBSVM's row cache does;
-most runs read a small share of the N rows. Q is exactly symmetric and
-equals those columns bitwise, so the rows are the rows of
-``build_kernel_matrix`` and its unit diagonal makes Q_ii + Q_jj exactly 2.
+Q is never built. One ``kernel_rows`` source per run checks the inputs and
+computes the row norms once; row t comes from it the first time a step
+selects t and is kept for the rest of the run, as LIBSVM's row cache does.
+Most runs read a small share of the N rows. The rows equal the rows of
+``build_kernel_matrix`` bitwise, and its unit diagonal makes Q_ii + Q_jj
+exactly 2. A pass costs O(N) per pair update besides its row fetches.
 """
 
 import time
@@ -26,7 +27,7 @@ import numpy as np
 
 from .admm import ConvergenceTrace, TraceRow, _check_two_classes, accuracy
 from .errors import NonFiniteError
-from .kernel import _check_samples, kernel_columns
+from .kernel import _check_samples, kernel_rows
 
 TAU = 1e-12  # replaces a non-positive curvature a_ij, as in LIBSVM
 
@@ -49,15 +50,8 @@ class SmoResult:
     trace: ConvergenceTrace
     converged: bool
     passes: int
+    pair_updates: int  # LIBSVM's #iter
     kernel_rows: int  # distinct rows of Q evaluated
-
-
-def _violations(y, alpha, grad, c):
-    """-y_t G_t, with the masks of I_up and I_low."""
-    v = -y * grad
-    up = np.where(y > 0, alpha < c, alpha > 0)
-    low = np.where(y > 0, alpha > 0, alpha < c)
-    return v, up, low
 
 
 def _pair_update(ai, aj, yi, yj, gi, gj, a, c):
@@ -107,22 +101,28 @@ def _solve(row, y, cfg):
     """The WSS2 pass loop on Q given by rows: ``row(t)`` returns Q[t].
 
     Q must have a unit diagonal. Returns alpha, the bias, the trace, whether
-    the gap closed and the number of passes.
+    the gap closed, the number of passes and the number of pair updates.
+    v = -y * G and the masks of I_up and I_low are kept up to date between
+    steps: a step changes G everywhere but alpha only at i and j.
     """
     n = y.shape[0]
     c = cfg.c_box
     alpha = np.zeros(n)
     grad = -np.ones(n)
+    neg_y = -y
+    v = neg_y * grad
+    pos = y > 0
+    up = pos.copy()  # at alpha = 0, I_up holds the positives and I_low the negatives
+    low = ~pos
     trace = ConvergenceTrace()
     converged = False
-    passes = 0
+    passes = updates = 0
     while passes < cfg.max_passes and not converged:
         tic = time.perf_counter()
         for _ in range(n):
-            v, up, low = _violations(y, alpha, grad, c)
             i = int(np.argmax(np.where(up, v, -np.inf)))
             m = v[i]
-            if m - np.min(v[low]) < cfg.kkt_tol:
+            if m - np.where(low, v, np.inf).min() < cfg.kkt_tol:
                 break
             b = m - v
             q_i = row(i)
@@ -131,13 +131,17 @@ def _solve(row, y, cfg):
             gain = np.where(low & (b > 0), b * b / a, -np.inf)
             j = int(np.argmax(gain))
             ai, aj = _pair_update(alpha[i], alpha[j], y[i], y[j], grad[i], grad[j], a[j], c)
+            updates += 1
             grad += (ai - alpha[i]) * q_i + (aj - alpha[j]) * row(j)
+            np.multiply(neg_y, grad, out=v)
             alpha[i], alpha[j] = ai, aj
+            for t in (i, j):
+                up[t] = alpha[t] < c if pos[t] else alpha[t] > 0
+                low[t] = alpha[t] > 0 if pos[t] else alpha[t] < c
         elapsed_ms = (time.perf_counter() - tic) * 1e3
         passes += 1
 
-        v, up, low = _violations(y, alpha, grad, c)
-        m, big_m = np.max(v[up]), np.min(v[low])
+        m, big_m = np.where(up, v, -np.inf).max(), np.where(low, v, np.inf).min()
         converged = bool(m - big_m < cfg.kkt_tol)
         bias = _bias(v, alpha, c, m, big_m)
         trace.append(
@@ -148,7 +152,7 @@ def _solve(row, y, cfg):
                 objective=float(0.5 * alpha.sum() - 0.5 * alpha @ grad),
             )
         )
-    return alpha, bias, trace, converged, passes
+    return alpha, bias, trace, converged, passes, updates
 
 
 def smo_train(X, y, kernel, cfg):
@@ -164,13 +168,14 @@ def smo_train(X, y, kernel, cfg):
     _check_two_classes(y)
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("features contain NaN or Inf")
+    fetch = kernel_rows(x, y, kernel)
     rows = {}
 
     def row(t):
         if t not in rows:
-            rows[t] = np.ascontiguousarray(kernel_columns(x, y, kernel, [t])[:, 0])
+            rows[t] = fetch(t)
         return rows[t]
 
-    alpha, bias, trace, converged, passes = _solve(row, y, cfg)
+    alpha, bias, trace, converged, passes, updates = _solve(row, y, cfg)
     return SmoResult(alpha=alpha, b=bias, trace=trace, converged=converged, passes=passes,
-                     kernel_rows=len(rows))
+                     pair_updates=updates, kernel_rows=len(rows))

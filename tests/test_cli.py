@@ -352,6 +352,25 @@ def test_unopenable_data_and_model_paths_are_data_errors(tmp_path, monkeypatch):
     assert not (tmp_path / "predictions.csv").exists()
 
 
+def test_missing_data_paths_resolve_under_the_data_dir(tmp_path, monkeypatch):
+    store, work = tmp_path / "store", tmp_path / "work"
+    store.mkdir()
+    work.mkdir()
+    ds = mnist_like(64)
+    _write_data(store, ds.x, ds.y)
+    monkeypatch.chdir(work)
+    monkeypatch.setenv(cli.DATA_DIR_ENV, str(store))
+    assert cli.resolve_data_path("data.csv") == os.path.join(str(store), "data.csv")
+    assert cli.main(["train", "--data", "data.csv", "--path", "smo"]) == cli.EXIT_OK
+    assert (work / "model.svm").exists()
+    # a path that exists wins over the data directory
+    _write_data(work, ds.x, ds.y)
+    assert cli.resolve_data_path("data.csv") == "data.csv"
+    # a path found in neither place is returned unchanged and cannot be loaded
+    assert cli.resolve_data_path("absent.csv") == "absent.csv"
+    assert cli.main(["train", "--data", "absent.csv"]) == cli.EXIT_DATA
+
+
 def test_subset_size_alone_sets_the_default_rank(tmp_path, monkeypatch):
     ds = mnist_like(300)
     _write_data(tmp_path, ds.x, ds.y)

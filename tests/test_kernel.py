@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from admmsvm import kernel
 from admmsvm.errors import DimensionMismatchError, DuplicateIndexError, IndexOutOfRangeError
-from admmsvm.kernel import KernelParams, build_kernel_matrix, kernel_columns, rbf
+from admmsvm.kernel import KernelParams, build_kernel_matrix, kernel_columns, kernel_rows, rbf
 from admmsvm.svm import NonlinearModel, decision_values
 from admmsvm.synthetic import mnist_like
 
@@ -148,6 +148,10 @@ def test_column_index_validation():
         kernel_columns(x, y, KernelParams(-1.0), [1, 1])
     with pytest.raises(DuplicateIndexError):
         kernel_columns(x, y, KernelParams(-1.0), [1, 0, 1])
+    row = kernel_rows(x, y, KernelParams(-1.0))
+    for t in (-1, 4):
+        with pytest.raises(IndexOutOfRangeError):
+            row(t)
 
 
 def test_bad_labels_rejected():
@@ -177,6 +181,9 @@ def test_blocked_matrix_is_symmetric_and_equals_its_columns(wide):
     np.testing.assert_array_equal(kernel_columns(wide.x, wide.y, params, np.arange(wide.n)), psi)
     m = np.random.default_rng(2).choice(wide.n, size=13, replace=False)
     np.testing.assert_array_equal(kernel_columns(wide.x, wide.y, params, m), psi[:, m])
+    row = kernel_rows(wide.x, wide.y, params)
+    for t in range(wide.n):
+        assert row(t).tobytes() == psi[t].tobytes()
 
 
 def test_blocked_matrix_entries_are_within_the_bound_of_per_pair_rbf(wide):
@@ -215,6 +222,9 @@ def test_column_sets_agree_with_the_matrix_across_block_boundaries(monkeypatch, 
     np.testing.assert_array_equal(build_kernel_matrix(x, y, params), psi)
     for cols in ([17], m, np.arange(40)):
         np.testing.assert_array_equal(kernel_columns(x, y, params, cols), psi[:, cols])
+    row = kernel_rows(x, y, params)
+    for t in range(40):
+        np.testing.assert_array_equal(row(t), psi[t])
 
 
 @pytest.mark.parametrize("n_support", [13, 50])

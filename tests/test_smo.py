@@ -1,4 +1,5 @@
-"""SMO dual solver: analytic and pinned optima, a KKT certificate, trace, caps and row cache."""
+"""SMO dual solver: analytic and pinned optima, a KKT certificate, trace, caps, row cache,
+and the pass loop against a reference loop that rebuilds its state at every step."""
 
 import tracemalloc
 
@@ -17,13 +18,68 @@ from admmsvm.synthetic import mnist_like, xor_dataset
 RBF = KernelParams(gamma=-1.0)
 
 
-def kkt_gap(x, y, kernel, alpha, c_box):
-    """m(alpha) - M(alpha): the maximal violating pair's gap, from a fresh kernel matrix."""
-    grad = build_kernel_matrix(x, y, kernel) @ alpha - 1.0
+def violations(y, alpha, grad, c_box):
+    """-y_t G_t, with the masks of I_up and I_low, built from alpha and G alone."""
     v = -y * grad
     up = np.where(y > 0, alpha < c_box, alpha > 0)
     low = np.where(y > 0, alpha > 0, alpha < c_box)
+    return v, up, low
+
+
+def kkt_gap(x, y, kernel, alpha, c_box):
+    """m(alpha) - M(alpha): the maximal violating pair's gap, from a fresh kernel matrix."""
+    v, up, low = violations(y, alpha, build_kernel_matrix(x, y, kernel) @ alpha - 1.0, c_box)
     return float(v[up].max() - v[low].min())
+
+
+def reference_solve(row, y, cfg):
+    """The WSS2 pass loop that rebuilds v = -y * G and both masks at every step.
+
+    The solver keeps them up to date between steps instead, so its results
+    must equal these bit for bit. Returns alpha, the bias, the trace's
+    (objective, train_accuracy) pairs, whether the gap closed, the passes
+    and the pair updates.
+    """
+    n = y.shape[0]
+    c = cfg.c_box
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    trace = []
+    converged = False
+    passes = updates = 0
+    while passes < cfg.max_passes and not converged:
+        for _ in range(n):
+            v, up, low = violations(y, alpha, grad, c)
+            i = int(np.argmax(np.where(up, v, -np.inf)))
+            m = v[i]
+            if m - np.min(v[low]) < cfg.kkt_tol:
+                break
+            b = m - v
+            q_i = row(i)
+            a = 2.0 - (2.0 * y[i]) * y * q_i
+            a[a <= 0] = smo.TAU
+            gain = np.where(low & (b > 0), b * b / a, -np.inf)
+            j = int(np.argmax(gain))
+            ai, aj = smo._pair_update(alpha[i], alpha[j], y[i], y[j], grad[i], grad[j], a[j], c)
+            updates += 1
+            grad += (ai - alpha[i]) * q_i + (aj - alpha[j]) * row(j)
+            alpha[i], alpha[j] = ai, aj
+        passes += 1
+        v, up, low = violations(y, alpha, grad, c)
+        m, big_m = np.max(v[up]), np.min(v[low])
+        converged = bool(m - big_m < cfg.kkt_tol)
+        bias = smo._bias(v, alpha, c, m, big_m)
+        trace.append((float(0.5 * alpha.sum() - 0.5 * alpha @ grad),
+                      accuracy(y * (grad + 1.0) + bias, y)))
+    return alpha, bias, trace, converged, passes, updates
+
+
+def assert_same_run(result, reference):
+    alpha, b, trace, converged, passes, updates = reference
+    assert result.alpha.tobytes() == alpha.tobytes()
+    assert (result.b, result.converged, result.passes, result.pair_updates) == (
+        b, converged, passes, updates)
+    assert [(r.objective, r.train_accuracy) for r in result.trace.rows] == trace
 
 
 def dual_objective(x, y, kernel, alpha):
@@ -83,12 +139,12 @@ def test_one_pass_is_at_most_n_pair_updates(monkeypatch):
 
     monkeypatch.setattr(smo, "_pair_update", counting)
     full = smo_train(ds.x, ds.y, RBF, SmoConfig(kkt_tol=1e-9))
-    assert full.converged and len(calls) > ds.n
+    assert full.converged and full.pair_updates == len(calls) > ds.n
     calls.clear()
     capped = smo_train(ds.x, ds.y, RBF, SmoConfig(kkt_tol=1e-9, max_passes=1))
     assert not capped.converged
     assert capped.passes == 1 and len(capped.trace) == 1
-    assert len(calls) == ds.n
+    assert capped.pair_updates == len(calls) == ds.n
 
 
 @st.composite
@@ -115,42 +171,55 @@ def test_random_problems_stay_feasible_and_certified(problem, c_box, gamma):
         assert kkt_gap(x, y, kernel, result.alpha, c_box) <= cfg.kkt_tol
 
 
+@settings(max_examples=60, deadline=None)
+@given(problem=two_class_problems(), c_box=st.sampled_from([0.5, 10.0]),
+       gamma=st.floats(-4.0, -0.1))
+def test_random_problems_match_the_reference_loop(problem, c_box, gamma):
+    x, y = problem
+    kernel = KernelParams(gamma=gamma)
+    cfg = SmoConfig(c_box=c_box)
+    q = build_kernel_matrix(x, y, kernel)
+    assert_same_run(smo_train(x, y, kernel, cfg), reference_solve(lambda t: q[t], y, cfg))
+
+
 # --- kernel rows on demand ------------------------------------------------------
 
 @pytest.mark.parametrize("n, p, seed, c_box", [
     (512, 64, 0, 0.5), (512, 64, 0, 10.0), (512, 64, 1, 0.5), (512, 64, 1, 10.0),
-    (256, 784, 0, 10.0),
+    (256, 784, 0, 0.5), (256, 784, 0, 10.0),
 ])
 def test_cached_rows_give_the_dense_matrix_result(n, p, seed, c_box):
     ds = mnist_like(n, p=p, seed=seed)
     cfg = SmoConfig(c_box=c_box)
     q = build_kernel_matrix(ds.x, ds.y, RBF)
-    alpha, b, trace, converged, passes = smo._solve(lambda t: q[t], ds.y, cfg)
-    result = smo_train(ds.x, ds.y, RBF, cfg)
-    assert result.alpha.tobytes() == alpha.tobytes()
-    assert (result.b, result.passes, result.converged) == (b, passes, converged)
-    assert [(r.objective, r.train_accuracy) for r in result.trace.rows] == [
-        (r.objective, r.train_accuracy) for r in trace.rows]
+    assert_same_run(smo_train(ds.x, ds.y, RBF, cfg), reference_solve(lambda t: q[t], ds.y, cfg))
 
 
 def test_rows_are_fetched_once_each_and_equal_the_matrix(monkeypatch):
     ds = mnist_like(512, seed=0)
     q = build_kernel_matrix(ds.x, ds.y, RBF)
-    fetched = []
-    columns = smo.kernel_columns
+    sources, fetched = [], []
+    rows = smo.kernel_rows
 
-    def spy(x, y, params, m):
-        cols = columns(x, y, params, m)
-        fetched.extend((int(t), cols[:, k].copy()) for k, t in enumerate(m))
-        return cols
+    def spy(x, y, params):
+        sources.append(params)
+        row = rows(x, y, params)
+
+        def fetch(t):
+            values = row(t)
+            fetched.append((t, values.copy()))
+            return values
+
+        return fetch
 
     def no_matrix(*args):
         raise AssertionError("smo_train built the full kernel matrix")
 
-    monkeypatch.setattr(smo, "kernel_columns", spy)
+    monkeypatch.setattr(smo, "kernel_rows", spy)
     monkeypatch.setattr(smo, "build_kernel_matrix", no_matrix, raising=False)
     monkeypatch.setattr("admmsvm.kernel.build_kernel_matrix", no_matrix)
     result = smo_train(ds.x, ds.y, RBF, SmoConfig())
+    assert sources == [RBF]
     indices = [t for t, _ in fetched]
     assert len(set(indices)) == len(indices)
     assert 0 < result.kernel_rows == len(indices) <= ds.n
@@ -192,7 +261,16 @@ def test_non_finite_features_are_rejected_before_any_row_fetch(monkeypatch):
     x = ds.x.copy()
     x[7, 3] = np.nan
     fetched = []
-    monkeypatch.setattr(smo, "kernel_columns", lambda *args: fetched.append(args))
+    rows = smo.kernel_rows
+
+    def spy(*args):
+        row = rows(*args)
+        return lambda t: fetched.append(t) or row(t)
+
+    monkeypatch.setattr(smo, "kernel_rows", spy)
+    smo_train(ds.x, ds.y, RBF, SmoConfig(max_passes=1))
+    assert fetched  # the spy sees the fetches of a finite run
+    fetched.clear()
     with pytest.raises(NonFiniteError):
         smo_train(x, ds.y, RBF, SmoConfig())
     assert fetched == []
