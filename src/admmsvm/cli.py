@@ -6,6 +6,11 @@ the Nystrom factor's effective rank and MSE, the iterations and the
 accuracy; its last row is exact-kernel SMO on the same problem, at the box
 C = 1/lambda, the box that ``train --path smo`` solves too.
 
+``train`` writes one model file, which holds the ``--scaling`` transform
+fitted on the training rows, so ``predict`` reads raw rows and needs no
+other file. A model written before the file held that transform, with its
+``<model>.scaling.json`` sidecar beside it, is a model-file error: retrain.
+
 Exit codes: 0 success, 1 internal error, 2 invalid flags or configuration
 (a lambda or rho that leaves the ADMM system matrix singular included), 3
 data or model-file error (a file that cannot be opened included), 4 a
@@ -32,7 +37,6 @@ from .data_io import (
     SCALE_MINMAX,
     SCALE_NONE,
     SCALE_ZSCORE,
-    ScalingRecord,
     SplitSpec,
     load_delimited,
     load_delimited_features,
@@ -170,14 +174,12 @@ def cmd_train(args):
         train_accuracy = report.train_accuracy
     wall_clock_s = time.perf_counter() - wall_start
 
-    save_model(model, args.out_model, fmt=args.model_format)
-    if scaling.mode != SCALE_NONE:
-        with open(args.out_model + ".scaling.json", "w", encoding="utf-8") as fh:
-            json.dump(scaling.to_dict(), fh)
+    model = dataclasses.replace(model, scaling=scaling)
+    save_model(model, args.out_model)
 
     test_accuracy = None
     if test is not None:
-        test_accuracy = accuracy(decision_values(model, scaling.apply(test.x)), test.y)
+        test_accuracy = accuracy(decision_values(model, test.x), test.y)
 
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -215,7 +217,6 @@ def cmd_predict(args):
     if args.no_labels and args.format == "sparse":
         raise ValueError("--no-labels reads delimited files; sparse lines start with a label")
     model = load_model(resolve_data_path(args.model))
-    sidecar = resolve_data_path(args.model) + ".scaling.json"
 
     labels = None
     if args.no_labels:
@@ -225,14 +226,6 @@ def cmd_predict(args):
         x, labels = ds.x, ds.y
     if args.format == "sparse":  # absent indices are zeros, up to the model's width
         x = np.pad(x, ((0, 0), (0, max(model.p - x.shape[1], 0))))
-    if os.path.exists(sidecar):
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-                raise MalformedModelFileError(f"invalid scaling file {sidecar}: {exc}") from exc
-        record = ScalingRecord.from_dict(payload)
-        x = record.apply(x)
 
     values = decision_values(model, x)
     pred = np.where(values >= 0.0, 1, -1)
@@ -357,7 +350,6 @@ def build_parser():
                          default=SCALE_NONE)
     p_train.add_argument("--train-fraction", type=float, default=None,
                          help="hold out 1-fraction of rows for test accuracy")
-    p_train.add_argument("--model-format", choices=["binary", "json"], default="binary")
     p_train.add_argument("--out-model", default="model.svm")
     p_train.add_argument("--out-report", default="report.json")
     p_train.add_argument("--out-trace", default="trace.csv")

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InsufficientClassSamplesError,
-    MalformedModelFileError,
     MissingValueError,
     NonAscendingIndexError,
     NotBinaryError,
@@ -72,9 +71,13 @@ class SplitSpec:
 
 @dataclass(frozen=True, eq=False)
 class ScalingRecord:
-    """Per-feature affine transform x' = (x - offset) / scale."""
+    """Per-feature affine transform x' = (x - offset) / scale, fitted on the training rows.
 
-    mode: str
+    A model trained on scaled rows carries its record (see
+    :class:`admmsvm.svm.NonlinearModel`), and ``decision_values`` applies it
+    to raw query rows.
+    """
+
     offset: np.ndarray
     scale: np.ndarray
 
@@ -85,30 +88,6 @@ class ScalingRecord:
                 f"scaling record has {self.offset.shape[0]} features, data has shape {x.shape}"
             )
         return (x - self.offset) / self.scale
-
-    def to_dict(self):
-        return {"mode": self.mode, "offset": self.offset.tolist(), "scale": self.scale.tolist()}
-
-    @classmethod
-    def from_dict(cls, payload):
-        """Rebuild a record saved by :meth:`to_dict`; a malformed one raises
-        ``MalformedModelFileError``."""
-        try:
-            mode = payload["mode"]
-            offset = np.asarray(payload["offset"], dtype=float)
-            scale = np.asarray(payload["scale"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedModelFileError(f"scaling record has a bad field: {exc}") from exc
-        if mode not in (SCALE_MINMAX, SCALE_ZSCORE, SCALE_NONE):
-            raise MalformedModelFileError(f"unknown scaling mode {mode!r}")
-        if offset.ndim != 1 or scale.shape != offset.shape:
-            raise MalformedModelFileError(
-                f"scaling offset and scale must be 1-D of one length, got "
-                f"{offset.shape} and {scale.shape}"
-            )
-        if not (np.all(np.isfinite(offset)) and np.all(np.isfinite(scale)) and np.all(scale > 0)):
-            raise MalformedModelFileError("scaling offsets must be finite, scales finite and > 0")
-        return cls(mode=mode, offset=offset, scale=scale)
 
 
 def _normalize_labels(raw):
@@ -304,25 +283,20 @@ def scale_features(ds, mode):
     """Apply a per-feature affine transform; constant features map to 0.
 
     Returns the transformed dataset and the record needed to apply the same
-    transform at inference time.
+    transform at inference time, or ``ds`` itself and None for ``"none"``.
     """
     if mode == SCALE_NONE:
-        record = ScalingRecord(mode, np.zeros(ds.p), np.ones(ds.p))
-        return ds, record
+        return ds, None
     if mode == SCALE_MINMAX:
         lo = ds.x.min(axis=0)
         span = ds.x.max(axis=0) - lo
-        scale = np.where(span > 0.0, span, 1.0)
-        record = ScalingRecord(mode, lo, scale)
+        record = ScalingRecord(lo, np.where(span > 0.0, span, 1.0))
     elif mode == SCALE_ZSCORE:
-        mean = ds.x.mean(axis=0)
         std = ds.x.std(axis=0)
-        scale = np.where(std > 0.0, std, 1.0)
-        record = ScalingRecord(mode, mean, scale)
+        record = ScalingRecord(ds.x.mean(axis=0), np.where(std > 0.0, std, 1.0))
     else:
         raise ValueError(f"unknown scaling mode {mode!r}")
-    scaled = Dataset(x=record.apply(ds.x), y=ds.y)
-    return scaled, record
+    return Dataset(x=record.apply(ds.x), y=ds.y), record
 
 
 def split(ds, spec):

@@ -4,9 +4,15 @@ Training builds the Nystrom factor V of the label-weighted kernel matrix,
 solves the induced linear problem on Y V with the ADMM solver, then
 recovers the sparse dual weights on the sampled subset. Inference sums the
 RBF kernel over the stored support entries only.
+
+Model file, little-endian: the header ``_HEAD_FORMAT`` (magic, version,
+gamma, bias, support count n, feature count p, scaling width w); when w is
+p, the scaling record's p offsets then p scales as float64; then n packed
+support entries (:func:`_entry_dtype`). w is 0 for a model without a
+record. Version-1 files have no width field and no record.
 """
 
-import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -14,6 +20,7 @@ import numpy as np
 
 from .admm import ConvergenceTrace, _solve
 from .admm import accuracy  # noqa: F401  (re-exported as svm.accuracy)
+from .data_io import ScalingRecord
 from .errors import DimensionMismatchError, MalformedModelFileError
 from .kernel import KernelParams, _check_samples, _rbf_sums
 from .nystrom import _design
@@ -21,17 +28,19 @@ from .nystrom import _design
 SUPPORT_DROP_TOL = 1e-12
 
 _MAGIC = b"ADMMSVM\x00"
-_VERSION = 1
-_HEAD_FORMAT = "<8sIddII"
-_JSON_FORMAT = "admmsvm-model"
+_VERSION = 2
+_HEAD_FORMAT = "<8sIddIII"
+_V1_HEAD_FORMAT = "<8sIddII"
 
 
 @dataclass(frozen=True, eq=False)
 class NonlinearModel:
-    """Support entries (index, alpha*y, label, features), bias and kernel.
+    """Support entries (index, alpha*y, label, features), bias, kernel and scaling.
 
     ``alpha_weighted`` stores the products alpha_i * y_i that the decision
-    function sums; the raw multiplier is ``alpha_weighted * label``.
+    function sums; the raw multiplier is ``alpha_weighted * label``. A model
+    trained on scaled rows holds their ``scaling`` record, and its support
+    features are scaled rows; query rows stay raw.
     """
 
     indices: np.ndarray
@@ -40,6 +49,7 @@ class NonlinearModel:
     features: np.ndarray
     bias: float
     kernel: KernelParams
+    scaling: ScalingRecord | None = None
 
     @property
     def n_support(self):
@@ -112,6 +122,8 @@ def support_model(x, y, indices, alpha_weighted, bias, kernel):
 def decision_values(model, X):
     """Raw margins of the rows of X: sum of alpha_i y_i k(x_i, x) over the support, plus bias.
 
+    The rows are raw; a model with a scaling record maps them through it first.
+
     Each margin is within 4 * eps * (1 + |gamma| * S) * sum_i |alpha_i| of
     the exact sum, where eps is the float64 machine epsilon and
     S = max ||x - mu||^2 + max ||x_i - mu||^2 over the query rows and the
@@ -124,43 +136,45 @@ def decision_values(model, X):
         raise DimensionMismatchError(
             f"query matrix shape {x.shape} does not match model dimension {model.p}"
         )
+    if model.scaling is not None:
+        x = model.scaling.apply(x)
     if model.n_support == 0:
         return np.full(x.shape[0], model.bias)
     return _rbf_sums(x, model.features, model.alpha_weighted, model.kernel.gamma) + model.bias
 
 
-def save_model(model, sink, fmt="binary"):
-    """Persist a model to ``sink`` (a path) in binary or JSON form."""
-    if fmt == "binary":
-        blob = _to_binary(model)
-        with open(sink, "wb") as fh:
-            fh.write(blob)
-    elif fmt == "json":
-        with open(sink, "w", encoding="utf-8") as fh:
-            json.dump(_to_json_dict(model), fh)
-    else:
-        raise ValueError(f"unknown model format {fmt!r}")
+def save_model(model, sink):
+    """Write a model to the path ``sink`` in the binary format of the module docstring."""
+    with open(sink, "wb") as fh:
+        fh.write(_to_binary(model))
 
 
 def load_model(source):
-    """Load a model saved by :func:`save_model`; sniffs binary vs JSON.
+    """Load a model file of either version; a version-1 file has no scaling record.
 
     Raises :class:`~admmsvm.errors.MalformedModelFileError` for a file that
-    does not decode, or whose bias, weights or features are not all finite.
+    does not decode; whose bias, weights or features are not all finite;
+    whose scaling offsets are not finite or scales not finite and positive;
+    or that is a version-1 file with a ``<source>.scaling.json`` sidecar
+    beside it, since that model was trained on scaled rows it cannot map.
     """
     with open(source, "rb") as fh:
         blob = fh.read()
-    if blob[:1] == b"{":
-        try:
-            payload = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise MalformedModelFileError(f"invalid JSON model file: {exc}") from exc
-        model = _from_json_dict(payload)
-    else:
-        model = _from_binary(blob)
+    model = _from_binary(blob)
     if not (np.isfinite(model.bias) and np.isfinite(model.alpha_weighted).all()
             and np.isfinite(model.features).all()):
         raise MalformedModelFileError("model file holds a non-finite bias, weight or feature")
+    scaling = model.scaling
+    if scaling is not None and not (np.isfinite(scaling.offset).all()
+                                    and np.isfinite(scaling.scale).all()
+                                    and (scaling.scale > 0).all()):
+        raise MalformedModelFileError(
+            "model file holds a non-finite scaling offset or a scale that is not finite and > 0")
+    sidecar = f"{os.fspath(source)}.scaling.json"
+    if struct.unpack_from("<I", blob, 8) == (1,) and os.path.exists(sidecar):
+        raise MalformedModelFileError(
+            f"{sidecar} holds the scaling of this version-1 model, which is no longer read; "
+            "retrain the model to store its scaling in the model file")
     return model
 
 
@@ -171,6 +185,7 @@ def _entry_dtype(p):
 
 
 def _to_binary(model):
+    width = 0 if model.scaling is None else model.p
     head = struct.pack(
         _HEAD_FORMAT,
         _MAGIC,
@@ -179,24 +194,36 @@ def _to_binary(model):
         model.bias,
         model.n_support,
         model.p,
+        width,
     )
+    record = b""
+    if width:
+        record = np.stack([model.scaling.offset, model.scaling.scale]).astype("<f8").tobytes()
     entries = np.empty(model.n_support, dtype=_entry_dtype(model.p))
     entries["index"] = model.indices
     entries["alpha_weighted"] = model.alpha_weighted
     entries["label"] = model.labels > 0
     entries["features"] = model.features
-    return head + entries.tobytes()
+    return head + record + entries.tobytes()
 
 
 def _from_binary(blob):
-    head_size = struct.calcsize(_HEAD_FORMAT)
-    if len(blob) < head_size:
+    if len(blob) < struct.calcsize(_V1_HEAD_FORMAT):
         raise MalformedModelFileError("model file truncated in header")
-    magic, version, gamma, bias, n_support, p = struct.unpack_from(_HEAD_FORMAT, blob)
+    magic, version, gamma, bias, n_support, p = struct.unpack_from(_V1_HEAD_FORMAT, blob)
     if magic != _MAGIC:
         raise MalformedModelFileError("bad magic header; not an admmsvm model file")
-    if version != _VERSION:
+    if version == 1:
+        head_size, width = struct.calcsize(_V1_HEAD_FORMAT), 0
+    elif version == _VERSION:
+        head_size = struct.calcsize(_HEAD_FORMAT)
+        if len(blob) < head_size:
+            raise MalformedModelFileError("model file truncated in header")
+        width = struct.unpack_from(_HEAD_FORMAT, blob)[-1]
+    else:
         raise MalformedModelFileError(f"unsupported model format version {version}")
+    if width not in (0, p):
+        raise MalformedModelFileError(f"scaling record has {width} features, model has {p}")
     try:
         kernel = KernelParams(gamma=gamma)
     except ValueError as exc:
@@ -205,12 +232,17 @@ def _from_binary(blob):
         entry = _entry_dtype(p)
     except ValueError:
         raise MalformedModelFileError(f"model file declares {p} features") from None
-    expected = head_size + n_support * entry.itemsize
+    expected = head_size + 16 * width + n_support * entry.itemsize
     if len(blob) != expected:
         raise MalformedModelFileError(
             f"model file has {len(blob)} bytes, expected {expected}"
         )
-    entries = np.frombuffer(blob, dtype=entry, count=n_support, offset=head_size)
+    scaling = None
+    if width:
+        record = np.frombuffer(blob, dtype="<f8", count=2 * width, offset=head_size)
+        scaling = ScalingRecord(offset=record[:width].astype(float),
+                                scale=record[width:].astype(float))
+    entries = np.frombuffer(blob, dtype=entry, count=n_support, offset=head_size + 16 * width)
     return NonlinearModel(
         indices=entries["index"].astype(int),
         alpha_weighted=entries["alpha_weighted"].astype(float),
@@ -218,55 +250,5 @@ def _from_binary(blob):
         features=entries["features"].astype(float, order="C"),
         bias=bias,
         kernel=kernel,
+        scaling=scaling,
     )
-
-
-def _to_json_dict(model):
-    return {
-        "format": _JSON_FORMAT,
-        "version": _VERSION,
-        "gamma": model.kernel.gamma,
-        "bias": model.bias,
-        "p": model.p,
-        "support": [
-            {
-                "index": int(model.indices[i]),
-                "alpha_weighted": float(model.alpha_weighted[i]),
-                "label": int(model.labels[i]),
-                "features": [float(v) for v in model.features[i]],
-            }
-            for i in range(model.n_support)
-        ],
-    }
-
-
-def _from_json_dict(payload):
-    try:
-        if payload["format"] != _JSON_FORMAT:
-            raise MalformedModelFileError(f"unknown model format {payload['format']!r}")
-        if payload["version"] != _VERSION:
-            raise MalformedModelFileError(f"unsupported model version {payload['version']}")
-        support = payload["support"]
-        n = len(support)
-        if "p" in payload:
-            p = payload["p"]
-        else:  # files written before "p" was stored
-            p = len(support[0]["features"]) if n else 0
-        if type(p) is not int or not 0 <= p < 2 ** 31:
-            raise MalformedModelFileError(f"model JSON declares {p!r} features")
-        if any(len(e["features"]) != p for e in support):
-            raise MalformedModelFileError(f"model JSON has an entry without {p} features")
-        indices = np.array([e["index"] for e in support], dtype=int)
-        alpha_weighted = np.array([e["alpha_weighted"] for e in support], dtype=float)
-        labels = np.array([float(e["label"]) for e in support])
-        features = np.array([e["features"] for e in support], dtype=float).reshape(n, p)
-        return NonlinearModel(
-            indices=indices,
-            alpha_weighted=alpha_weighted,
-            labels=labels,
-            features=features,
-            bias=float(payload["bias"]),
-            kernel=KernelParams(gamma=float(payload["gamma"])),
-        )
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise MalformedModelFileError(f"model JSON missing or malformed field: {exc}") from exc

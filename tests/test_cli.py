@@ -2,9 +2,11 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -187,7 +189,7 @@ def test_smo_report_accuracy_equals_saved_model_accuracy(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def zscore_model(tmp_path_factory):
-    """A model trained with --scaling zscore on 40-wide data, its sidecar, and that data."""
+    """The path of a model trained with --scaling zscore on 40-wide data, and of that data."""
     root = tmp_path_factory.mktemp("zscore")
     ds = mnist_like(200, p=40, seed=2)
     data = root / "data.csv"
@@ -197,35 +199,36 @@ def zscore_model(tmp_path_factory):
                      "--out-model", str(model), "--out-report", str(root / "report.json"),
                      "--out-trace", str(root / "trace.csv")])
     assert code == cli.EXIT_OK
-    sidecar = json.loads((root / "model.svm.scaling.json").read_text(encoding="utf-8"))
-    return model.read_bytes(), sidecar, data
+    assert not (root / "model.svm.scaling.json").exists()
+    return model, data
 
 
-def _without_offset(record):
-    return json.dumps({k: v for k, v in record.items() if k != "offset"})
+_RECORD_AT = struct.calcsize("<8sIddIII")  # the 40 offsets, then the 40 scales
 
 
-def _narrow_offset(record):
-    return json.dumps({**record, "offset": record["offset"][:3], "scale": record["scale"][:3]})
+def _set_record_value(at, value):
+    def edit(blob):
+        blob = bytearray(blob)
+        struct.pack_into("<d", blob, _RECORD_AT + 8 * at, value)
+        return bytes(blob)
+    return edit
 
 
-def _one_wide_offset(record):
-    # broadcasts against any width, so only an explicit width check catches it
-    return json.dumps({**record, "offset": record["offset"][:1], "scale": record["scale"][:1]})
+def _set_width(width):
+    def edit(blob):
+        return blob[:_RECORD_AT - 4] + struct.pack("<I", width) + blob[_RECORD_AT:]
+    return edit
 
 
-def _zero_scale(record):
-    return json.dumps({**record, "scale": [0.0] * len(record["scale"])})
-
-
-@pytest.mark.parametrize("sidecar_text", [
-    _without_offset, _narrow_offset, _one_wide_offset, lambda record: "not json {",
-    _zero_scale,
-], ids=["no-offset", "3-wide", "1-wide", "not-json", "zero-scale"])
-def test_predict_rejects_a_malformed_scaling_sidecar(tmp_path, zscore_model, sidecar_text):
-    blob, record, data = zscore_model
-    (tmp_path / "model.svm").write_bytes(blob)
-    (tmp_path / "model.svm.scaling.json").write_text(sidecar_text(record), encoding="utf-8")
+@pytest.mark.parametrize("edit", [
+    _set_record_value(0, np.nan), _set_record_value(40, 0.0), _set_record_value(79, -1.0),
+    _set_record_value(41, np.inf), _set_width(1), _set_width(3),
+    lambda blob: blob[:_RECORD_AT + 8 * 79] + blob[_RECORD_AT + 8 * 80:],
+], ids=["nan-offset", "zero-scale", "negative-scale", "inf-scale", "1-wide", "3-wide",
+        "truncated"])
+def test_predict_rejects_a_malformed_scaling_record(tmp_path, zscore_model, edit):
+    model, data = zscore_model
+    (tmp_path / "model.svm").write_bytes(edit(model.read_bytes()))
     out = tmp_path / "pred.csv"
     code = cli.main(["predict", "--model", str(tmp_path / "model.svm"), "--data", str(data),
                      "--out", str(out)])
@@ -233,13 +236,39 @@ def test_predict_rejects_a_malformed_scaling_sidecar(tmp_path, zscore_model, sid
     assert not out.exists()
 
 
-def test_predict_applies_a_valid_scaling_sidecar(tmp_path, zscore_model):
-    blob, record, data = zscore_model
-    (tmp_path / "model.svm").write_bytes(blob)
-    (tmp_path / "model.svm.scaling.json").write_text(json.dumps(record), encoding="utf-8")
-    code = cli.main(["predict", "--model", str(tmp_path / "model.svm"), "--data", str(data),
-                     "--out", str(tmp_path / "pred.csv")])
-    assert code == cli.EXIT_OK
+def test_scaled_model_copied_alone_predicts_as_in_its_training_directory(tmp_path, zscore_model):
+    model, data = zscore_model
+    (tmp_path / "model.svm").write_bytes(model.read_bytes())
+    written = []
+    for i, where in enumerate((model, tmp_path / "model.svm")):
+        out = tmp_path / f"pred{i}.csv"
+        code = cli.main(["predict", "--model", str(where), "--data", str(data), "--out", str(out)])
+        assert code == cli.EXIT_OK
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    loaded = load_model(model)
+    x = np.loadtxt(data, delimiter=",")[:, :-1]
+    expected = decision_values(dataclasses.replace(loaded, scaling=None), loaded.scaling.apply(x))
+    values = np.loadtxt(tmp_path / "pred1.csv", delimiter=",", skiprows=1)[:, 1]
+    assert values.tobytes() == expected.tobytes()
+
+
+def test_predict_rejects_a_version_1_model_beside_a_scaling_sidecar(tmp_path, monkeypatch,
+                                                                    zscore_model):
+    model, data = zscore_model
+    save_model(dataclasses.replace(load_model(model), scaling=None), tmp_path / "v2.svm")
+    blob = (tmp_path / "v2.svm").read_bytes()  # no record: drop the width to get version 1
+    (tmp_path / "model.svm").write_bytes(
+        blob[:8] + struct.pack("<I", 1) + blob[12:_RECORD_AT - 4] + blob[_RECORD_AT:])
+    monkeypatch.chdir(tmp_path)
+    predict = ["predict", "--model", "model.svm", "--data", str(data)]
+    assert cli.main(predict) == cli.EXIT_OK
+    (tmp_path / "predictions.csv").unlink()
+    (tmp_path / "model.svm.scaling.json").write_text(
+        json.dumps({"mode": "zscore", "offset": [0.0] * 40, "scale": [1.0] * 40}),
+        encoding="utf-8")
+    assert cli.main(predict) == cli.EXIT_DATA
+    assert not (tmp_path / "predictions.csv").exists()
 
 
 def _write_sparse(path, x, y):
@@ -322,22 +351,21 @@ def test_zscore_is_fitted_on_the_training_rows_alone(tmp_path, monkeypatch):
     code = cli.main(["train", "--data", "data.csv", "--scaling", "zscore",
                      "--train-fraction", "0.5"])
     assert code == cli.EXIT_OK
-    sidecar = json.loads((tmp_path / "model.svm.scaling.json").read_text(encoding="utf-8"))
+    offset = load_model("model.svm").scaling.offset
     train, _ = split(Dataset(x=ds.x, y=ds.y), SplitSpec(0.5, seed=0))
-    np.testing.assert_array_equal(sidecar["offset"], train.x.mean(axis=0))
-    assert not np.allclose(sidecar["offset"], ds.x.mean(axis=0), rtol=0, atol=1e-6)
+    np.testing.assert_array_equal(offset, train.x.mean(axis=0))
+    assert not np.allclose(offset, ds.x.mean(axis=0), rtol=0, atol=1e-6)
 
 
-@pytest.mark.parametrize("fmt, bias, weight", [("binary", np.nan, 1.0), ("json", 0.0, np.inf)])
-def test_predict_rejects_a_model_with_non_finite_values(tmp_path, monkeypatch, fmt, bias,
-                                                        weight):
+@pytest.mark.parametrize("bias, weight", [(np.nan, 1.0), (0.0, np.inf)])
+def test_predict_rejects_a_model_with_non_finite_values(tmp_path, monkeypatch, bias, weight):
     ds = mnist_like(64, p=32)
     _write_data(tmp_path, ds.x, ds.y)
     monkeypatch.chdir(tmp_path)
     model = NonlinearModel(indices=np.array([0]), alpha_weighted=np.array([weight]),
                            labels=ds.y[:1], features=ds.x[:1], bias=bias,
                            kernel=KernelParams(gamma=-1.0))
-    save_model(model, "model.svm", fmt=fmt)
+    save_model(model, "model.svm")
     assert cli.main(["predict", "--model", "model.svm", "--data", "data.csv"]) == cli.EXIT_DATA
     assert not (tmp_path / "predictions.csv").exists()
 
