@@ -11,9 +11,14 @@ fitted on the training rows, so ``predict`` reads raw rows and needs no
 other file. A model written before the file held that transform, with its
 ``<model>.scaling.json`` sidecar beside it, is a model-file error: retrain.
 
+``train``'s ``wall_clock_s`` and each study row's ``train_ms`` time the
+solver call alone: on the SMO path, forming the model from its multipliers
+comes after the timed span.
+
 Exit codes: 0 success, 1 internal error, 2 invalid flags or configuration
-(a lambda or rho that leaves the ADMM system matrix singular included), 3
-data or model-file error (a file that cannot be opened included), 4 a
+(a ``ConfigError``, such as a lambda or rho that leaves the ADMM system
+matrix singular, or a ``ValueError``), 3 data or model-file error (a
+``DataError``, or an ``OSError`` from a file that cannot be opened), 4 a
 solver finished without converging (in approx-study, the solver of any
 row) and --allow-nonconverged was not set. Dataset paths that do not exist
 are also resolved against the directory named by the ADMMSVM_DATA_DIR
@@ -44,19 +49,7 @@ from .data_io import (
     scale_features,
     split,
 )
-from .errors import (
-    AdmmSvmError,
-    DimensionMismatchError,
-    InsufficientClassSamplesError,
-    InvalidCountError,
-    MalformedModelFileError,
-    MissingValueError,
-    NonAscendingIndexError,
-    NotBinaryError,
-    ParseError,
-    RankDeficientError,
-    SingleClassError,
-)
+from .errors import AdmmSvmError, ConfigError, DataError, InvalidCountError
 from .kernel import KernelParams, build_kernel_matrix
 from .nystrom import NystromConfig, approximation_mse, nystrom_factor
 from .smo import SmoConfig, smo_train
@@ -74,18 +67,6 @@ SOLVERS = ("efficient", "smo")
 TRACE_COLUMNS = [f.name for f in dataclasses.fields(TraceRow)]
 STUDY_COLUMNS = ["solver", "c", "r", "seed", "effective_rank", "mse", "train_ms", "iterations",
                  "converged", "train_accuracy"]
-
-_DATA_ERRORS = (
-    ParseError,
-    NotBinaryError,
-    MissingValueError,
-    NonAscendingIndexError,
-    MalformedModelFileError,
-    DimensionMismatchError,
-    InsufficientClassSamplesError,
-    SingleClassError,
-    OSError,
-)
 
 
 def resolve_data_path(path):
@@ -135,6 +116,31 @@ def _problem(args):
     return params, admm_cfg, smo_cfg
 
 
+def _fit(ds, params, nys, admm_cfg, smo_cfg, track_accuracy=False):
+    """Train on ``ds``: ADMM on the Nystrom factor ``nys``, or SMO when ``nys`` is None.
+
+    Returns the model, the trace, the seconds of the solver call alone and
+    a summary of ``iterations`` (passes for SMO), ``converged``,
+    ``train_accuracy``, ``effective_rank`` and ``final_gap``; SMO leaves the
+    last two None.
+    """
+    tic = time.perf_counter()
+    if nys is None:
+        result = smo_train(ds.x, ds.y, params, smo_cfg)
+        seconds = time.perf_counter() - tic
+        model = support_model(ds.x, ds.y, np.arange(ds.n), result.alpha * ds.y, result.b, params)
+        summary = {"iterations": result.passes, "converged": result.converged,
+                   "train_accuracy": result.trace.rows[-1].train_accuracy,
+                   "effective_rank": None, "final_gap": None}
+        return model, result.trace, seconds, summary
+    report = train_nonlinear(ds.x, ds.y, params, nys, admm_cfg, track_accuracy=track_accuracy)
+    seconds = time.perf_counter() - tic
+    summary = {"iterations": len(report.trace), "converged": report.converged,
+               "train_accuracy": report.train_accuracy,
+               "effective_rank": report.effective_rank, "final_gap": report.final_gap}
+    return report.model, report.trace, seconds, summary
+
+
 def cmd_train(args):
     ds = _load_dataset(args)
     test = None
@@ -143,36 +149,18 @@ def cmd_train(args):
     # fitted on the training rows alone, so held-out rows stay unseen
     ds, scaling = scale_features(ds, args.scaling)
 
-    n = ds.n
     params, admm_cfg, smo_cfg = _problem(args)
-    wall_start = time.perf_counter()
     if args.path == "smo":
-        settings = dataclasses.asdict(smo_cfg)
-        result = smo_train(ds.x, ds.y, params, smo_cfg)
-        model = support_model(ds.x, ds.y, np.arange(n), result.alpha * ds.y, result.b, params)
-        trace = result.trace
-        converged = result.converged
-        iterations = result.passes
-        effective_rank = None
-        final_gap = None
-        train_accuracy = trace.rows[-1].train_accuracy
+        nys, settings = None, dataclasses.asdict(smo_cfg)
     else:
         c = args.subset_size
-        r = args.rank if args.rank is not None else min(64, n if c is None else c)
+        r = args.rank if args.rank is not None else min(64, ds.n if c is None else c)
         if c is None:
             c = r
+        nys = NystromConfig(c=c, r=r, seed=args.seed)
         settings = {"lambda": args.lambda_, "rho": args.rho, "epsilon": args.epsilon,
                     "max_iters": args.max_iters, "c": c, "r": r}
-        nys = NystromConfig(c=c, r=r, seed=args.seed)
-        report = train_nonlinear(ds.x, ds.y, params, nys, admm_cfg, track_accuracy=True)
-        model = report.model
-        trace = report.trace
-        converged = report.converged
-        iterations = len(trace)
-        effective_rank = report.effective_rank
-        final_gap = report.final_gap
-        train_accuracy = report.train_accuracy
-    wall_clock_s = time.perf_counter() - wall_start
+    model, trace, seconds, fit = _fit(ds, params, nys, admm_cfg, smo_cfg, track_accuracy=True)
 
     model = dataclasses.replace(model, scaling=scaling)
     save_model(model, args.out_model)
@@ -191,23 +179,23 @@ def cmd_train(args):
             "path": args.path,
             "scaling": args.scaling,
         },
-        "n_train": n,
-        "train_accuracy": train_accuracy,
+        "n_train": ds.n,
+        "train_accuracy": fit["train_accuracy"],
         "test_accuracy": test_accuracy,
-        "iterations": iterations,
-        "converged": converged,
-        "wall_clock_s": wall_clock_s,
+        "iterations": fit["iterations"],
+        "converged": fit["converged"],
+        "wall_clock_s": seconds,
         "nonzero_alpha": model.n_support,
-        "effective_rank": effective_rank,
-        "final_gap": final_gap,
+        "effective_rank": fit["effective_rank"],
+        "final_gap": fit["final_gap"],
     }
     _write_report(payload, args.out_report)
     if args.out_trace:
         _write_trace_csv(trace, args.out_trace)
 
-    print(f"train_accuracy={train_accuracy:.4f} support={model.n_support} "
-          f"iterations={iterations} converged={converged}")
-    if not converged and not args.allow_nonconverged:
+    print(f"train_accuracy={fit['train_accuracy']:.4f} support={model.n_support} "
+          f"iterations={fit['iterations']} converged={fit['converged']}")
+    if not fit["converged"] and not args.allow_nonconverged:
         print("warning: solver did not converge", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -242,12 +230,11 @@ def cmd_predict(args):
 def cmd_approx_study(args):
     """One row per valid (c, r, seed) of ADMM on the Nystrom factor, then one exact-kernel SMO row.
 
-    Each ``admm`` row's ``train_ms`` times :func:`train_nonlinear`, the
-    training ``train`` runs; the ``mse`` of its Nystrom factor, which
+    Every row is one :func:`_fit`, the training ``train`` runs, to the
+    solver's own stop rule; the ``smo`` row's box is C = 1/lambda and its
+    ``iterations`` are passes. The ``mse`` of each Nystrom factor, which
     :func:`nystrom_factor` forms with the same bits, is taken after the
-    timed span. The ``smo`` row solves the same problem, with the box
-    C = 1/lambda, and its ``iterations`` are passes. Every solver runs to
-    its own stop rule.
+    timed span.
     """
     ds = _load_dataset(args)
     if ds.n > 8192:
@@ -270,26 +257,19 @@ def cmd_approx_study(args):
     import numpy.random  # noqa: F401
 
     rows = []
-    for c, r, seed in combos:
-        nys = NystromConfig(c=c, r=r, seed=seed)
-        tic = time.perf_counter()
-        report = train_nonlinear(ds.x, ds.y, params, nys, admm_cfg)
-        train_ms = (time.perf_counter() - tic) * 1e3
-        with warnings.catch_warnings():  # train_nonlinear has warned of any truncation
-            warnings.simplefilter("ignore", RuntimeWarning)
-            factor = nystrom_factor(ds.x, ds.y, params, nys)
-        mse = approximation_mse(psi, factor)
-        rows.append({"solver": "admm", "c": c, "r": r, "seed": seed,
-                     "effective_rank": report.effective_rank, "mse": _fmt(mse),
-                     "train_ms": _fmt(train_ms), "iterations": len(report.trace),
-                     "converged": report.converged,
-                     "train_accuracy": _fmt(report.train_accuracy)})
-    tic = time.perf_counter()
-    result = smo_train(ds.x, ds.y, params, smo_cfg)
-    train_ms = (time.perf_counter() - tic) * 1e3
-    rows.append({"solver": "smo", "train_ms": _fmt(train_ms), "iterations": result.passes,
-                 "converged": result.converged,
-                 "train_accuracy": _fmt(result.trace.rows[-1].train_accuracy)})
+    for c, r, seed in [*combos, (None, None, None)]:  # the last pass is the SMO row
+        nys = None if c is None else NystromConfig(c=c, r=r, seed=seed)
+        _, _, seconds, fit = _fit(ds, params, nys, admm_cfg, smo_cfg)
+        row = {"solver": "smo" if nys is None else "admm", "c": c, "r": r, "seed": seed,
+               "effective_rank": fit["effective_rank"], "train_ms": _fmt(seconds * 1e3),
+               "iterations": fit["iterations"], "converged": fit["converged"],
+               "train_accuracy": _fmt(fit["train_accuracy"])}
+        if nys is not None:
+            with warnings.catch_warnings():  # train_nonlinear has warned of any truncation
+                warnings.simplefilter("ignore", RuntimeWarning)
+                factor = nystrom_factor(ds.x, ds.y, params, nys)
+            row["mse"] = _fmt(approximation_mse(psi, factor))
+        rows.append(row)
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, STUDY_COLUMNS)
@@ -382,10 +362,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (InvalidCountError, RankDeficientError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AdmmSvmError as exc:

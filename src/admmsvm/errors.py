@@ -1,8 +1,20 @@
-"""Exception hierarchy shared by all admmsvm modules."""
+"""Exception hierarchy shared by all admmsvm modules.
+
+The command line exits 3 on a ``DataError``, 2 on a ``ConfigError``, and 1
+on an error under neither base.
+"""
 
 
 class AdmmSvmError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class DataError(AdmmSvmError):
+    """A data or model file holds rows, labels or fields that cannot be used."""
+
+
+class ConfigError(AdmmSvmError):
+    """A setting, or a combination of settings, that the solvers cannot run."""
 
 
 class NonFiniteError(AdmmSvmError):
@@ -13,11 +25,11 @@ class NoConvergenceError(AdmmSvmError):
     """An iterative routine failed to reach its tolerance."""
 
 
-class RankDeficientError(AdmmSvmError):
+class RankDeficientError(ConfigError):
     """The ADMM system matrix is numerically singular."""
 
 
-class DimensionMismatchError(AdmmSvmError):
+class DimensionMismatchError(DataError):
     """Operands have incompatible shapes."""
 
 
@@ -29,19 +41,19 @@ class DuplicateIndexError(AdmmSvmError):
     """A subset contains repeated indices."""
 
 
-class InvalidCountError(AdmmSvmError):
+class InvalidCountError(ConfigError):
     """A requested count violates its bounds (e.g. c > n or c = 0)."""
 
 
-class SingleClassError(AdmmSvmError):
+class SingleClassError(DataError):
     """Training data contains only one label value."""
 
 
-class MalformedModelFileError(AdmmSvmError):
+class MalformedModelFileError(DataError):
     """A model file is truncated, has a bad magic header, or bad shapes."""
 
 
-class ParseError(AdmmSvmError):
+class ParseError(DataError):
     """A data file could not be parsed; carries line/column context."""
 
     def __init__(self, message, line=None, column=None):
@@ -53,7 +65,7 @@ class ParseError(AdmmSvmError):
         self.column = column
 
 
-class NotBinaryError(AdmmSvmError):
+class NotBinaryError(DataError):
     """A dataset has more than two distinct label values."""
 
 
@@ -61,9 +73,9 @@ class MissingValueError(ParseError):
     """A dataset row has an empty or absent feature value."""
 
 
-class NonAscendingIndexError(AdmmSvmError):
+class NonAscendingIndexError(DataError):
     """Sparse-text feature indices are not strictly ascending."""
 
 
-class InsufficientClassSamplesError(AdmmSvmError):
+class InsufficientClassSamplesError(DataError):
     """A split cannot keep at least one sample of each class per side."""

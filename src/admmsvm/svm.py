@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import ConvergenceTrace, _solve
-from .admm import accuracy  # noqa: F401  (re-exported as svm.accuracy)
 from .data_io import ScalingRecord
 from .errors import DimensionMismatchError, MalformedModelFileError
 from .kernel import KernelParams, _check_samples, _rbf_sums

@@ -15,14 +15,14 @@ import pytest
 
 import admmsvm
 from admmsvm import cli
-from admmsvm.admm import AdmmConfig
+from admmsvm.admm import AdmmConfig, accuracy
 from admmsvm.data_io import Dataset, SplitSpec, split
+from admmsvm.errors import AdmmSvmError
 from admmsvm.kernel import KernelParams, build_kernel_matrix
 from admmsvm.nystrom import NystromConfig, approximation_mse, nystrom_factor
 from admmsvm.smo import SmoConfig, smo_train
 from admmsvm.svm import (
     NonlinearModel,
-    accuracy,
     decision_values,
     load_model,
     save_model,
@@ -37,6 +37,37 @@ def test_module_docstring_names_exactly_the_subcommands():
                if isinstance(a, argparse._SubParsersAction))
     summary = cli.__doc__.splitlines()[0].split(":", 1)[1]
     assert set(re.findall(r"[a-z]+(?:-[a-z]+)*", summary)) - {"and"} == set(sub.choices)
+
+
+# the exit code that the module docstring documents for each error; an error
+# class of the package that is missing here fails the test until it is given one
+EXIT_CODE_OF = {
+    **dict.fromkeys(["DataError", "ParseError", "MissingValueError", "NotBinaryError",
+                     "NonAscendingIndexError", "MalformedModelFileError", "DimensionMismatchError",
+                     "InsufficientClassSamplesError", "SingleClassError", "OSError"],
+                    cli.EXIT_DATA),
+    **dict.fromkeys(["ConfigError", "InvalidCountError", "RankDeficientError", "ValueError"],
+                    cli.EXIT_USAGE),
+    **dict.fromkeys(["NonFiniteError", "NoConvergenceError", "IndexOutOfRangeError",
+                     "DuplicateIndexError"], cli.EXIT_INTERNAL),
+}
+
+
+def _package_errors(base=AdmmSvmError):
+    for sub in base.__subclasses__():
+        if sub.__module__.startswith("admmsvm."):
+            yield sub
+            yield from _package_errors(sub)
+
+
+@pytest.mark.parametrize("error", sorted(_package_errors(), key=lambda cls: cls.__name__)
+                         + [OSError, ValueError], ids=lambda cls: cls.__name__)
+def test_each_error_exits_with_its_documented_code(monkeypatch, error):
+    def fail(args):
+        raise error("raised by the test")
+    monkeypatch.setattr(cli, "cmd_predict", fail)
+    code = cli.main(["predict", "--model", "model.svm", "--data", "data.csv"])
+    assert code == EXIT_CODE_OF[error.__name__]
 
 
 def _write_data(directory, x, y):
@@ -409,6 +440,29 @@ def test_subset_size_alone_sets_the_default_rank(tmp_path, monkeypatch):
 
 
 # --- approx-study ---------------------------------------------------------------
+
+
+def test_train_reports_what_the_study_row_of_its_solver_records(tmp_path, monkeypatch):
+    ds = mnist_like(256, seed=7)
+    _write_data(tmp_path, ds.x, ds.y)
+    monkeypatch.chdir(tmp_path)
+    study = ["approx-study", "--data", "data.csv", "--c-list", "8", "--r-list", "8",
+             "--seeds", "0"]
+    assert cli.main(study) == cli.EXIT_OK
+    with open("approx_study.csv", newline="", encoding="utf-8") as fh:
+        rows = {row["solver"]: row for row in csv.DictReader(fh)}
+    for path, solver in [("efficient", "admm"), ("smo", "smo")]:
+        train = ["train", "--data", "data.csv", "--path", path, "--subset-size", "8",
+                 "--rank", "8", "--seed", "0"]
+        assert cli.main(train) == cli.EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        row = rows[solver]
+        assert int(row["iterations"]) == report["iterations"]
+        assert row["converged"] == str(report["converged"])
+        assert float(row["train_accuracy"]) == report["train_accuracy"]
+        rank = report["effective_rank"]
+        assert row["effective_rank"] == ("" if rank is None else str(rank))
+    assert rows["admm"]["effective_rank"] == "8"
 
 STUDY_LAMBDA = 5.0  # on this data SMO's accuracy differs at C = 0.1, 1/5 and 5
 

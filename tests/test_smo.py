@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from admmsvm import smo
+from admmsvm.admm import accuracy
 from admmsvm.errors import NonFiniteError
 from admmsvm.kernel import KernelParams, build_kernel_matrix
 from admmsvm.smo import SmoConfig, smo_train
-from admmsvm.svm import NonlinearModel, accuracy, decision_values
+from admmsvm.svm import NonlinearModel, decision_values
 from admmsvm.synthetic import mnist_like, xor_dataset
 
 RBF = KernelParams(gamma=-1.0)

@@ -12,10 +12,10 @@ import pytest
 
 import admmsvm
 from admmsvm import svm
-from admmsvm.admm import AdmmConfig, solve_linear
+from admmsvm.admm import AdmmConfig, accuracy, solve_linear
 from admmsvm.kernel import KernelParams
 from admmsvm.nystrom import NystromConfig, nystrom_factor
-from admmsvm.svm import accuracy, decision_values, support_model, train_nonlinear
+from admmsvm.svm import decision_values, support_model, train_nonlinear
 from admmsvm.synthetic import mnist_like
 
 
