@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DataError,
     DimensionMismatchError,
     InsufficientClassSamplesError,
     MissingValueError,
@@ -284,19 +285,28 @@ def scale_features(ds, mode):
 
     Returns the transformed dataset and the record needed to apply the same
     transform at inference time, or ``ds`` itself and None for ``"none"``.
+    Raises ``DataError`` naming the first column whose offset, scale or
+    scaled values overflow to a value that is not finite.
     """
     if mode == SCALE_NONE:
         return ds, None
-    if mode == SCALE_MINMAX:
-        lo = ds.x.min(axis=0)
-        span = ds.x.max(axis=0) - lo
-        record = ScalingRecord(lo, np.where(span > 0.0, span, 1.0))
-    elif mode == SCALE_ZSCORE:
-        std = ds.x.std(axis=0)
-        record = ScalingRecord(ds.x.mean(axis=0), np.where(std > 0.0, std, 1.0))
-    else:
-        raise ValueError(f"unknown scaling mode {mode!r}")
-    return Dataset(x=record.apply(ds.x), y=ds.y), record
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == SCALE_MINMAX:
+            lo = ds.x.min(axis=0)
+            span = ds.x.max(axis=0) - lo
+            record = ScalingRecord(lo, np.where(span > 0.0, span, 1.0))
+        elif mode == SCALE_ZSCORE:
+            std = ds.x.std(axis=0)
+            record = ScalingRecord(ds.x.mean(axis=0), np.where(std > 0.0, std, 1.0))
+        else:
+            raise ValueError(f"unknown scaling mode {mode!r}")
+        x = record.apply(ds.x)
+    # a non-finite offset leaves its column's scaled values non-finite too
+    finite = np.isfinite(record.scale) & np.isfinite(x).all(axis=0)
+    if not finite.all():
+        raise DataError(f"{mode} scaling overflows in feature column {np.argmin(finite)} "
+                        "(0-based): its offset, scale or scaled values are not finite")
+    return Dataset(x=x, y=ds.y), record
 
 
 def split(ds, spec):

@@ -6,19 +6,19 @@ label-weighted matrix has entries y_i * y_j * k(x_i, x_j).
 
 RBF values come from two evaluators with two contracts:
 
-- Entries of Q, through ``_sq_dists``: the full kernel matrix (and with it
-  the Nystrom landmark block Psi_MM), kernel columns, and the row source
-  ``kernel_rows`` from which :mod:`admmsvm.smo` fetches the rows of Q one
-  at a time. Each entry is
+- Entries of Q, through one routine, ``_columns``: the full kernel matrix
+  (all N columns, and with it the Nystrom landmark block Psi_MM), kernel
+  columns, and the row source ``kernel_rows`` from which :mod:`admmsvm.smo`
+  fetches the rows of Q one at a time. Each entry is
   exp(gamma * max(0, (s_i + s_j) - 2 <x_i - mu, x_j - mu>)) with mu = X[0]
   and s_i = ||x_i - mu||^2, over rows centred in blocks of
   ``_BLOCK_BUDGET_BYTES``. The dot products are einsum's fixed-order loop,
-  not BLAS, so an entry depends on its pair alone, not on the block or
-  the call it fell in. The entries are therefore consistent with each
-  other bit for bit: kernel columns and rows equal the matching columns and
-  rows of the full matrix, the matrix is exactly symmetric with a unit
-  diagonal, and repeated calls give the same bits. Each entry is within
-  4 * eps * (1 + |gamma| * (s_i + s_j)) of the per-pair reference
+  not BLAS, so an entry depends on its pair alone, in either order, not on
+  the block or the call it fell in. The entries are therefore consistent
+  with each other bit for bit: kernel columns and rows equal the matching
+  columns and rows of the full matrix, the matrix is exactly symmetric with
+  a unit diagonal, and repeated calls give the same bits. Each entry is
+  within 4 * eps * (1 + |gamma| * (s_i + s_j)) of the per-pair reference
   :func:`rbf`, but not bitwise equal to it.
 - Weighted sums sum_j w_j k(q, f_j), through ``_rbf_sums``: the decision
   values of :mod:`admmsvm.svm` (one weight vector) and the Nystrom factor
@@ -72,16 +72,16 @@ def _sq_norms(xc):
     return np.einsum("ij,ij->i", xc, xc)
 
 
-def _blocks(x, mu, width=0, start=0):
-    """Blocks of rows start: of x centred on mu, for entries against ``width`` columns.
+def _blocks(x, mu, width=0):
+    """Blocks of the rows of x centred on mu, for entries against ``width`` columns.
 
     A block's centred rows, and its entries, each fit ``_BLOCK_BUDGET_BYTES``.
     Yields (first row, centred rows); one C-ordered buffer serves every block.
     """
     n, p = x.shape
     rows = max(1, _BLOCK_BUDGET_BYTES // (8 * max(p, width, 1)))
-    buf = np.empty((min(rows, n - start), p))
-    for i in range(start, n, rows):
+    buf = np.empty((min(rows, n), p))
+    for i in range(0, n, rows):
         yield i, np.subtract(x[i:i + rows], mu, out=buf[:min(rows, n - i)])
 
 
@@ -174,24 +174,12 @@ def _check_subset(m, n):
 def build_kernel_matrix(X, y, params):
     """Assemble the full label-weighted kernel matrix as a read-only N-by-N array.
 
-    Only blocks on and above the diagonal are evaluated; each row block's
-    transpose fills the part below it. The result is exactly symmetric,
-    and its diagonal is exactly 1 since k(x, x) = 1 and y_i^2 = 1.
+    The matrix is its N kernel columns, from the one routine that also
+    serves :func:`kernel_columns` and :func:`kernel_rows`, so it is exactly
+    symmetric, and its diagonal is exactly 1 since k(x, x) = 1 and y_i^2 = 1.
     """
     x, y = _check_samples(X, y)
-    n = x.shape[0]
-    psi = np.empty((n, n))
-    mu = x[:1]
-    for start, a in _blocks(x, mu):
-        stop = start + a.shape[0]
-        a_sq = _sq_norms(a)
-        for col, b in _blocks(x, mu, a.shape[0], start):
-            _sq_dists(a, a_sq, b, _sq_norms(b), psi[start:stop, col:col + b.shape[0]])
-        _rbf_in_place(psi[start:stop, start:], params.gamma)
-        psi[stop:, start:stop] = psi[start:stop, stop:].T
-    psi *= y[:, None]
-    psi *= y[None, :]
-    np.fill_diagonal(psi, 1.0)
+    psi = _columns(x, y, params.gamma, np.arange(x.shape[0]))
     psi.flags.writeable = False
     return psi
 

@@ -79,10 +79,11 @@ def symmetric_evd(a):
     order). Each eigenvector's sign is fixed so its largest-magnitude entry
     is non-negative, making the output reproducible. The input must be a
     non-empty square matrix of finite entries, symmetric within
-    1e-8 * max(1, max |a_ij|); its upper triangle is what is diagonalized.
-    Raises ``ValueError`` for a bad shape or an asymmetric matrix,
-    :class:`~admmsvm.errors.NonFiniteError` for NaN or Inf entries and
-    :class:`~admmsvm.errors.NoConvergenceError` when LAPACK fails.
+    1e-8 * max(1, max |a_ij|); its lower triangle, which is all that
+    ``eigh`` reads, is what is diagonalized. Raises ``ValueError`` for a
+    bad shape or an asymmetric matrix, :class:`~admmsvm.errors.NonFiniteError`
+    for NaN or Inf entries and :class:`~admmsvm.errors.NoConvergenceError`
+    when LAPACK fails.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -94,10 +95,8 @@ def symmetric_evd(a):
     scale = max(1.0, float(np.abs(a).max()))
     if np.abs(a - a.T).max() > 1e-8 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    # mirror the upper triangle so the diagonalized matrix is exactly symmetric
-    sym = np.triu(a) + np.triu(a, 1).T
     try:
-        d, q = np.linalg.eigh(sym)
+        d, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigendecomposition did not converge: {exc}") from exc
 

@@ -388,6 +388,16 @@ def test_zscore_is_fitted_on_the_training_rows_alone(tmp_path, monkeypatch):
     assert not np.allclose(offset, ds.x.mean(axis=0), rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("mode", ["zscore", "minmax"])
+def test_train_exits_3_on_data_whose_scaling_overflows(tmp_path, monkeypatch, mode):
+    rows = "1e308,1,1\n-1e308,2,-1\n0,3,1\n5,4,-1\n1,1,1\n2,2,-1\n"
+    (tmp_path / "big.csv").write_text(rows, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["train", "--data", "big.csv", "--scaling", mode, "--rank", "2"])
+    assert code == cli.EXIT_DATA
+    assert not (tmp_path / "model.svm").exists()
+
+
 @pytest.mark.parametrize("bias, weight", [(np.nan, 1.0), (0.0, np.inf)])
 def test_predict_rejects_a_model_with_non_finite_values(tmp_path, monkeypatch, bias, weight):
     ds = mnist_like(64, p=32)

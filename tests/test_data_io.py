@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from admmsvm import cli, data_io
 from admmsvm.data_io import load_delimited, load_delimited_features, load_sparse_text
-from admmsvm.errors import AdmmSvmError, MissingValueError, ParseError
+from admmsvm.errors import AdmmSvmError, DataError, MissingValueError, ParseError
 from admmsvm.synthetic import mnist_like
 
 ROWS = "0.5,1.0,1\n-0.5,{cell},-1\n0.25,0.75,1\n"
@@ -286,3 +286,16 @@ def test_one_label_value_spelt_two_ways_is_one_class(tmp_path, labels, expected)
     text = "".join(f"{i}.5,{label}\n" for i, label in enumerate(labels))
     ds = load_delimited(_write(tmp_path, text), label_column=-1)
     assert ds.y.tolist() == expected
+
+
+# --- scaling ------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", [data_io.SCALE_MINMAX, data_io.SCALE_ZSCORE])
+def test_scaling_that_overflows_is_a_data_error_naming_its_column(mode):
+    # column 1's span (minmax) and std (zscore) overflow to inf
+    x = np.array([[1.0, 1e308], [2.0, -1e308], [3.0, 0.0], [4.0, 5.0], [1.0, 1.0], [2.0, 2.0]])
+    ds = data_io.Dataset(x=x, y=np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]))
+    with pytest.raises(DataError, match=r"column 1 \(0-based\)"):
+        data_io.scale_features(ds, mode)
+    scaled, record = data_io.scale_features(data_io.Dataset(x=x[:, :1], y=ds.y), mode)
+    assert np.isfinite(scaled.x).all() and np.isfinite(record.scale).all()

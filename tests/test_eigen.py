@@ -89,6 +89,18 @@ def test_asymmetric_input_rejected():
         symmetric_evd(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_lower_triangle_is_what_is_diagonalized():
+    # symmetric within tolerance, but the upper triangle is 1e-10 off the lower
+    a = random_symmetric(8, seed=11)
+    a[np.triu_indices(8, 1)] += 1e-10
+    lower = np.tril(a) + np.tril(a, -1).T
+    upper = np.triu(a) + np.triu(a, 1).T
+    q, d = symmetric_evd(a)
+    q_low, d_low = symmetric_evd(lower)
+    assert d.tobytes() == d_low.tobytes() and q.tobytes() == q_low.tobytes()
+    assert d.tobytes() != symmetric_evd(upper)[1].tobytes()
+
+
 def test_lapack_failure_raises_typed_error(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

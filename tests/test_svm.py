@@ -15,8 +15,9 @@ from admmsvm import svm
 from admmsvm.admm import AdmmConfig, accuracy, solve_linear
 from admmsvm.kernel import KernelParams
 from admmsvm.nystrom import NystromConfig, nystrom_factor
+from admmsvm.smo import SmoConfig, smo_train
 from admmsvm.svm import decision_values, support_model, train_nonlinear
-from admmsvm.synthetic import mnist_like
+from admmsvm.synthetic import gaussian_blobs, mnist_like
 
 
 @pytest.mark.parametrize("case", ["full_rank", "truncated", "wide"])
@@ -124,3 +125,22 @@ def test_training_imports_no_numpy_ma():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("lambda_", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("seed", range(6))
+def test_admm_on_every_landmark_matches_exact_kernel_smo(seed, lambda_):
+    # at c = r = N the factor spans the whole kernel matrix, V V^T = Psi, so
+    # the low-rank problem is the exact one that SMO solves at C = 1/lambda
+    ds = gaussian_blobs(48, p=4, separation=2.0, seed=seed)
+    held = gaussian_blobs(64, p=4, separation=2.0, seed=100 + seed)
+    kernel = KernelParams(gamma=-0.5)
+    cfg = AdmmConfig(lambda_=lambda_, rho=1.0, epsilon=1e-9, max_iters=200000)
+    report = train_nonlinear(ds.x, ds.y, kernel, NystromConfig(c=48, r=48, seed=seed), cfg)
+    assert report.converged and report.effective_rank == 48
+    res = smo_train(ds.x, ds.y, kernel,
+                    SmoConfig(c_box=1.0 / lambda_, kkt_tol=1e-9, max_passes=10000))
+    assert res.converged
+    exact = support_model(ds.x, ds.y, np.arange(48), res.alpha * ds.y, res.b, kernel)
+    gap = np.abs(decision_values(report.model, held.x) - decision_values(exact, held.x))
+    assert gap.max() <= 1e-6
