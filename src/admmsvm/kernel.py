@@ -22,11 +22,13 @@ RBF values come from two evaluators with two contracts:
   :func:`rbf`, but not bitwise equal to it.
 - Weighted sums sum_j w_j k(q, f_j), through ``_rbf_sums``: the decision
   values of :mod:`admmsvm.svm` (one weight vector) and the Nystrom factor
-  V of :mod:`admmsvm.nystrom` (one weight column per rank). One GEMM per
-  query block gives the distances; each sum is within about
+  V of :mod:`admmsvm.nystrom` (one weight column per rank). Both norm
+  terms ride in the distance GEMM: each query block, written as rows
+  [q - mu, ||q - mu||^2, 1], takes one product with the operand of
+  ``_sums_operand``, rows [-2 (f_j - mu), 1, ||f_j - mu||^2], where mu is
+  the centroid of the rows f_j. Each sum is within about
   4 * eps * (1 + |gamma| * S) * sum_j |w_j|, where
-  S = max ||q - mu||^2 + max ||f - mu||^2 and mu is the centroid of the
-  rows f_j.
+  S = max ||q - mu||^2 + max ||f - mu||^2.
 """
 
 from dataclasses import dataclass
@@ -37,10 +39,10 @@ from .errors import DimensionMismatchError, DuplicateIndexError, IndexOutOfRange
 
 # bytes of one block of centred training rows, and of its entries; sized to stay in cache
 _BLOCK_BUDGET_BYTES = 256 * 1024
-# bytes of one query block's centred rows and its distances to the feature rows;
-# training forms V through these blocks beside its one N x (r+1) buffer, so they
-# set its peak memory (the solve adds only N-vectors to that buffer); decision_values
-# uses the same blocks, and at 256 KiB its throughput fell 8%
+# bytes of one query block's rows [q - mu, ||q - mu||^2, 1] and its distances to the
+# c feature rows; training forms V through these blocks beside its one N x (r+1)
+# buffer, so they set its peak memory (the solve adds only N-vectors to that buffer);
+# decision_values uses the same blocks, and at 256 KiB its throughput fell 8%
 _SUMS_BUDGET_BYTES = 384 * 1024
 
 
@@ -105,40 +107,52 @@ def _rbf_in_place(d2, gamma):
     np.exp(d2, out=d2)
 
 
-def _rbf_sums(x, features, weights, gamma, out=None, overwrite_features=False):
-    """sum_j weights[j] * exp(gamma * ||x_i - features_j||^2) for every row x_i of x.
+def _sums_operand(features):
+    """The feature side of ``_rbf_sums``: mu = mean(features) and the c x (p+2) operand F.
 
-    ``weights`` has shape (c,) or (c, r) for c feature rows; the result has
-    shape (N,) or (N, r), one column per column of weights, and is written
-    into ``out`` when given (a view into a wider buffer will do). With
-    ``overwrite_features`` the feature rows are centred in place, so pass
-    only a copy the caller owns and no longer needs. Each block of
-    query rows, sized by ``_SUMS_BUDGET_BYTES``, takes one matrix product:
-    ||q - f||^2 = ||q||^2 + ||f||^2 - 2 q.f. Centring both sides on
-    mu = mean(features) leaves every distance unchanged and keeps the
-    expansion's three terms small, so they cancel with little loss. The
-    clamp at 0 removes the negative distances that rounding can leave
-    between a query and a feature row equal to it. One buffer of centred
-    query rows and one of distances serve every block, and each block's
-    sums are written into the result in place. Query blocks have a fixed
-    row count for a given (p, c), so repeated calls on the same rows give
-    the same bits.
+    Row j of F is [-2 (f_j - mu), 1, ||f_j - mu||^2]; the -2 scaling is exact.
     """
     mu = features.mean(axis=0)
-    f = np.subtract(features, mu, out=features if overwrite_features else None)
-    f_sq = np.einsum("ij,ij->i", f, f)
-    f *= -2.0  # exact, so q @ f.T is -2 q.f to the bit
+    p = features.shape[1]
+    operand = np.empty((features.shape[0], p + 2))
+    f = np.subtract(features, mu, out=operand[:, :p])
+    np.einsum("ij,ij->i", f, f, out=operand[:, p + 1])
+    f *= -2.0
+    operand[:, p] = 1.0
+    return mu, operand
+
+
+def _rbf_sums(x, operand, weights, gamma, out=None):
+    """sum_j weights[j] * exp(gamma * ||x_i - f_j||^2) for every row x_i of x.
+
+    ``operand`` is ``_sums_operand(features)`` for the c feature rows f_j.
+    ``weights`` has shape (c,) or (c, r); the result has shape (N,) or (N, r),
+    one column per column of weights, and is written into ``out`` when given
+    (a view into a wider buffer will do). Each block of query rows, sized by
+    ``_SUMS_BUDGET_BYTES``, is written as [q - mu, ||q - mu||^2, 1] into one
+    rows x (p+2) buffer, and one matrix product with the operand gives every
+    ||q - f||^2 of the block, norms included. Centring both sides on
+    mu = mean(features) leaves every distance unchanged and keeps the
+    expansion's three terms small, so they cancel with little loss. The clamp
+    at 0 removes the negative distances that rounding can leave between a
+    query and a feature row equal to it. One query buffer and one distance
+    buffer serve every block, and each block's sums are written into the
+    result in place. Query blocks have a fixed row count for a given (p, c),
+    so repeated calls on the same rows give the same bits.
+    """
+    mu, f = operand
     n, p = x.shape
     if out is None:
         out = np.empty((n, *weights.shape[1:]))
-    rows = max(1, _SUMS_BUDGET_BYTES // (8 * (p + f.shape[0])))
-    q_buf = np.empty((min(rows, n), p))
+    rows = max(1, _SUMS_BUDGET_BYTES // (8 * (f.shape[1] + f.shape[0])))
+    q_buf = np.empty((min(rows, n), p + 2))
+    q_buf[:, p + 1] = 1.0
     d2_buf = np.empty((min(rows, n), f.shape[0]))
     for i in range(0, n, rows):
-        q = np.subtract(x[i:i + rows], mu, out=q_buf[:min(rows, n - i)])
-        d2 = np.matmul(q, f.T, out=d2_buf[:q.shape[0]])
-        d2 += np.einsum("ij,ij->i", q, q)[:, None]
-        d2 += f_sq
+        block = q_buf[:min(rows, n - i)]
+        q = np.subtract(x[i:i + rows], mu, out=block[:, :p])
+        np.einsum("ij,ij->i", q, q, out=block[:, p])
+        d2 = np.matmul(block, f.T, out=d2_buf[:block.shape[0]])
         _rbf_in_place(d2, gamma)
         np.matmul(d2, weights, out=out[i:i + rows])
     return out

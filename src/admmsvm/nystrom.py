@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidCountError, NoConvergenceError, NonFiniteError
-from .kernel import _check_samples, _rbf_sums, build_kernel_matrix
+from .kernel import _check_samples, _rbf_sums, _sums_operand, build_kernel_matrix
 
 _MSE_BLOCK_BYTES = 1 << 20  # one row block of the residual
 _EIG_TOL = 1e-10  # relative floor of the eigenvalues of Psi_MM that are kept
@@ -122,7 +122,9 @@ def _design(x, y, params, cfg):
     written by the weighted RBF sums into the first columns of one
     N x (k+1) buffer ``wy`` whose last column is y, so ``wy`` = [V, y] is
     the design of the linear problem on Y V (its signed rows y_i (y_i v_i)
-    are V itself). The caller owns ``wy``.
+    are V itself). The sums' operand is built from the c x p copy of the
+    landmark rows, and that copy is released before ``wy`` is allocated, so
+    the two are never held together. The caller owns ``wy``.
     """
     n = x.shape[0]
     m = sample_subset(n, cfg.c, cfg.seed)
@@ -138,8 +140,10 @@ def _design(x, y, params, cfg):
         )
     weights = q[:, :rank] * (1.0 / np.sqrt(d[:rank]))[None, :]
     weights *= y_m[:, None]
+    operand = _sums_operand(x_m)
+    del x_m
     wy = np.empty((n, rank + 1))
-    _rbf_sums(x, x_m, weights, params.gamma, out=wy[:, :rank], overwrite_features=True)
+    _rbf_sums(x, operand, weights, params.gamma, out=wy[:, :rank])
     wy[:, rank] = 1.0
     wy *= y[:, None]  # [V, y]; scaling the contiguous buffer is twice as fast as its strided V
     return m, weights, wy

@@ -20,8 +20,8 @@ import numpy as np
 
 from .admm import ConvergenceTrace, _solve
 from .data_io import ScalingRecord
-from .errors import DimensionMismatchError, MalformedModelFileError
-from .kernel import KernelParams, _check_samples, _rbf_sums
+from .errors import DataError, DimensionMismatchError, MalformedModelFileError
+from .kernel import KernelParams, _check_samples, _rbf_sums, _sums_operand
 from .nystrom import _design
 
 SUPPORT_DROP_TOL = 1e-12
@@ -121,7 +121,9 @@ def support_model(x, y, indices, alpha_weighted, bias, kernel):
 def decision_values(model, X):
     """Raw margins of the rows of X: sum of alpha_i y_i k(x_i, x) over the support, plus bias.
 
-    The rows are raw; a model with a scaling record maps them through it first.
+    The rows are raw; a model with a scaling record maps them through it
+    first, and raises ``DataError`` naming the first row that the record
+    maps to a value that is not finite.
 
     Each margin is within 4 * eps * (1 + |gamma| * S) * sum_i |alpha_i| of
     the exact sum, where eps is the float64 machine epsilon and
@@ -136,10 +138,16 @@ def decision_values(model, X):
             f"query matrix shape {x.shape} does not match model dimension {model.p}"
         )
     if model.scaling is not None:
-        x = model.scaling.apply(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = model.scaling.apply(x)
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            raise DataError(f"query row {np.argmin(finite)} (0-based) is not finite "
+                            "under the model's scaling record")
     if model.n_support == 0:
         return np.full(x.shape[0], model.bias)
-    return _rbf_sums(x, model.features, model.alpha_weighted, model.kernel.gamma) + model.bias
+    operand = _sums_operand(model.features)
+    return _rbf_sums(x, operand, model.alpha_weighted, model.kernel.gamma) + model.bias
 
 
 def save_model(model, sink):

@@ -398,6 +398,21 @@ def test_train_exits_3_on_data_whose_scaling_overflows(tmp_path, monkeypatch, mo
     assert not (tmp_path / "model.svm").exists()
 
 
+def test_predict_exits_3_on_a_row_that_overflows_under_the_scaling(tmp_path, monkeypatch):
+    ds = mnist_like(200, p=8, latent=4, seed=1)
+    _write_data(tmp_path, ds.x, ds.y)
+    rows = ds.x[:5].copy()
+    rows[0, 0] = 1e308
+    np.savetxt(tmp_path / "feat.csv", rows, delimiter=",", fmt="%.17g")
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["train", "--data", "data.csv", "--scaling", "zscore", "--gamma", "-0.1"])
+    assert code == cli.EXIT_OK
+    code = cli.main(["predict", "--model", "model.svm", "--data", "feat.csv", "--no-labels"])
+    assert code == cli.EXIT_DATA
+    # the error comes before the output is opened, so no nan row is written
+    assert not (tmp_path / "predictions.csv").exists()
+
+
 @pytest.mark.parametrize("bias, weight", [(np.nan, 1.0), (0.0, np.inf)])
 def test_predict_rejects_a_model_with_non_finite_values(tmp_path, monkeypatch, bias, weight):
     ds = mnist_like(64, p=32)

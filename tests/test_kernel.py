@@ -1,5 +1,6 @@
 """RBF kernel and label-weighted kernel matrix construction."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -271,7 +272,7 @@ def test_rbf_sums_on_shifted_data_match_per_pair_loop(p):
     features, queries = x[:40], x[20:]
     weights = np.random.default_rng(p).standard_normal(40)
     params = KernelParams(-1.0)
-    sums = kernel._rbf_sums(queries, features, weights, params.gamma)
+    sums = kernel._rbf_sums(queries, kernel._sums_operand(features), weights, params.gamma)
     expected = per_pair_sums(queries, features, weights, params)
     assert np.max(np.abs(sums - expected)) <= 1e-12 * np.abs(weights).sum()
 
@@ -280,10 +281,10 @@ def test_rbf_sums_of_weight_columns_match_one_column_calls():
     x = mnist_like(256, p=784, seed=2).x
     features = x[::8]
     weights = np.random.default_rng(9).standard_normal((features.shape[0], 32))
-    sums = kernel._rbf_sums(x, features, weights, -1.0)
+    sums = kernel._rbf_sums(x, kernel._sums_operand(features), weights, -1.0)
     assert sums.shape == (256, 32)
     for k in range(weights.shape[1]):
-        column = kernel._rbf_sums(x, features, weights[:, k], -1.0)
+        column = kernel._rbf_sums(x, kernel._sums_operand(features), weights[:, k], -1.0)
         assert np.max(np.abs(sums[:, k] - column)) <= sums_tolerance(x, features, weights[:, k], -1.0)
 
 
@@ -297,7 +298,7 @@ def test_rbf_sums_error_is_within_the_stated_bound(p, log_scale, shift, gamma, n
     fresh = shift + 10.0 ** log_scale * rng.standard_normal((5, p))
     queries = np.vstack([fresh, features[rng.integers(0, n_support, size=3)]])
     weights = rng.standard_normal(n_support)
-    sums = kernel._rbf_sums(queries, features, weights, gamma)
+    sums = kernel._rbf_sums(queries, kernel._sums_operand(features), weights, gamma)
     expected = per_pair_sums(queries, features, weights, KernelParams(gamma))
     assert np.max(np.abs(sums - expected)) <= sums_tolerance(queries, features, weights, gamma)
 
@@ -348,6 +349,22 @@ def test_decision_values_of_strided_and_fortran_views_match_a_contiguous_copy(wi
     for view in (strided, fortran):
         copy = np.ascontiguousarray(view)
         assert np.max(np.abs(decision_values(model, view) - decision_values(model, copy))) <= tol
+
+
+def test_strided_fortran_and_read_only_support_rows_match_a_contiguous_copy(wide):
+    model = support_model(wide.x, 50, seed=4)
+    tol = sums_tolerance(wide.x, model.features, model.alpha_weighted, -1.0)
+    expected = decision_values(model, wide.x)
+    doubled = np.empty((2 * model.n_support, model.p))
+    doubled[::2] = model.features
+    strided = doubled[::2]
+    fortran = np.asfortranarray(model.features)
+    read_only = model.features.copy()
+    read_only.flags.writeable = False
+    assert not strided.flags.c_contiguous and not fortran.flags.c_contiguous
+    for rows in (strided, fortran, read_only):
+        view = dataclasses.replace(model, features=rows)
+        assert np.max(np.abs(decision_values(view, wide.x) - expected)) <= tol
 
 
 def test_decision_values_repeat_bit_for_bit(wide):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from admmsvm import svm
 from admmsvm.admm import AdmmConfig
 from admmsvm.data_io import ScalingRecord, scale_features
-from admmsvm.errors import AdmmSvmError, MalformedModelFileError
+from admmsvm.errors import AdmmSvmError, DataError, MalformedModelFileError
 from admmsvm.kernel import KernelParams
 from admmsvm.nystrom import NystromConfig
 from admmsvm.svm import NonlinearModel, decision_values, load_model, save_model, train_nonlinear
@@ -115,6 +115,16 @@ def test_scaled_model_maps_raw_rows_through_its_record(trained):
     unscaled = dataclasses.replace(model, scaling=None)
     assert np.array_equal(decision_values(model, x),
                           decision_values(unscaled, model.scaling.apply(x)))
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, np.inf, np.nan])
+def test_a_query_row_that_is_not_finite_under_the_record_is_a_data_error(trained, value):
+    model, x = trained
+    queries = x[:6].copy()
+    queries[3, 1] = value
+    with pytest.raises(DataError, match=r"query row 3 \(0-based\)"):
+        decision_values(model, queries)
+    assert np.isfinite(decision_values(model, x[:6])).all()
 
 
 def test_version_1_file_loads_without_scaling_and_predicts_as_before(tmp_path, trained):
